@@ -95,3 +95,20 @@ func BenchmarkMRCCombine(b *testing.B) {
 		Combine(curves...)
 	}
 }
+
+// BenchmarkMRCCombineFleet is BenchmarkMRCCombine at the 16×16 fleet shape:
+// VM-Part combines each VM's four batch curves on the way-stripe grid,
+// 4,096 points each (16 ways × 256 banks), once per VM per epoch.
+func BenchmarkMRCCombineFleet(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	curves := make([]Curve, 4)
+	for i := range curves {
+		curves[i] = benchCurve(rng, 4096)
+	}
+	dst := make([]float64, 4*4095+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CombineInto(dst, curves...)
+	}
+}

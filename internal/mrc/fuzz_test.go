@@ -49,27 +49,69 @@ func FuzzConvexHull(f *testing.F) {
 	})
 }
 
-// FuzzCombine checks the Whirlpool combination invariants: monotone,
-// convex, correct length and endpoints.
+// combineCurvesFromBytes decodes a FuzzCombine payload into 1-8 curves:
+// n picks the count and data is dealt out in equal consecutive chunks, one
+// per curve, decoded like curveFromBytes except that byte 255 becomes NaN
+// (the chaos curve-nan fault). The curves bypass New, which rejects NaN.
+func combineCurvesFromBytes(n uint8, data []byte) (curves []Curve, finite bool) {
+	k := 1 + int(n)%8
+	finite = true
+	for i := 0; i < k; i++ {
+		chunk := data[i*len(data)/k : (i+1)*len(data)/k]
+		pts := curveFromBytes(chunk)
+		for j, b := range chunk[:len(pts)] {
+			if b == 255 {
+				pts[j] = math.NaN()
+				finite = false
+			}
+		}
+		curves = append(curves, Curve{Unit: 1, M: pts})
+	}
+	return curves, finite
+}
+
+// FuzzCombine checks Combine bitwise against the global-sort reference
+// (combineGlobalSort) on 1-8 curves, and the Whirlpool combination
+// invariants on finite input: monotone, convex, correct length and
+// endpoints.
 func FuzzCombine(f *testing.F) {
-	f.Add([]byte{100, 50, 20}, []byte{80, 10})
-	f.Add([]byte{0}, []byte{255, 0})
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		ca := New(1, curveFromBytes(a))
-		cb := New(1, curveFromBytes(b))
-		comb := Combine(ca, cb)
-		wantLen := len(ca.M) - 1 + len(cb.M) - 1 + 1
+	f.Add(uint8(1), []byte{100, 50, 20, 80, 10})
+	f.Add(uint8(1), []byte{0, 254, 0})
+	// Hulls whose resampled gains rise by an ulp (the run-repair path).
+	f.Add(uint8(0), []byte{157, 112, 64, 116, 175})
+	f.Add(uint8(2), []byte{88, 26, 139, 149, 37, 226, 15, 218, 157, 112, 64, 116, 175, 119, 84, 48, 3, 143})
+	// NaN points (the sort.Float64s fallback), alone and beside finite curves.
+	f.Add(uint8(0), []byte{200, 255, 30, 10})
+	f.Add(uint8(1), []byte{50, 10, 255, 40, 20, 10})
+	f.Add(uint8(3), []byte{90, 40, 10, 255, 60, 20, 5, 0, 70, 255, 255, 1, 80, 30})
+	f.Add(uint8(7), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 100, 90, 80, 70, 60})
+	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
+		curves, finite := combineCurvesFromBytes(n, data)
+		comb := Combine(curves...)
+		want := combineGlobalSort(curves...)
+		if !bitsEqual(comb.M, want.M) {
+			t.Fatalf("Combine differs from the global-sort reference:\n got %v\nwant %v\n  in %v", comb.M, want.M, curves)
+		}
+		if !finite {
+			return
+		}
+		wantLen := 1
+		start, last := 0.0, 0.0
+		for _, c := range curves {
+			wantLen += len(c.M) - 1
+			h := c.ConvexHull()
+			start += h.M[0]
+			last += h.M[len(h.M)-1]
+		}
 		if len(comb.M) != wantLen {
 			t.Fatalf("combined length %d, want %d", len(comb.M), wantLen)
 		}
 		if !comb.IsConvex(1e-6) {
 			t.Fatal("combined curve not convex")
 		}
-		ha, hb := ca.ConvexHull(), cb.ConvexHull()
-		if diff(comb.M[0], ha.M[0]+hb.M[0]) > 1e-6 {
-			t.Fatalf("combined start %v, want %v", comb.M[0], ha.M[0]+hb.M[0])
+		if diff(comb.M[0], start) > 1e-6 {
+			t.Fatalf("combined start %v, want %v", comb.M[0], start)
 		}
-		last := ha.M[len(ha.M)-1] + hb.M[len(hb.M)-1]
 		if comb.M[len(comb.M)-1] > last+1e-6 {
 			t.Fatal("combined end above the sum of minima")
 		}

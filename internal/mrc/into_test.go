@@ -3,6 +3,7 @@ package mrc
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -190,6 +191,147 @@ func TestHullUpdaterReset(t *testing.T) {
 		}
 		if got, want := u.Update(b), b.ConvexHull(); !bitsEqual(got.M, want.M) || got.Unit != want.Unit {
 			t.Fatalf("after switch to b: got %v (unit %g), want %v (unit %g)", got.M, got.Unit, want.M, want.Unit)
+		}
+	}
+}
+
+// combineGlobalSort is the Combine algorithm before the run merge, kept as
+// the bitwise reference: gather every hull's gains, sort them all
+// ascending, and spend the capacity steps back to front.
+func combineGlobalSort(curves ...Curve) Curve {
+	var gains []float64
+	base := 0.0
+	for _, c := range curves {
+		h := c.ConvexHull()
+		base += h.M[0]
+		for i := 1; i < len(h.M); i++ {
+			gains = append(gains, h.M[i-1]-h.M[i])
+		}
+	}
+	sort.Float64s(gains)
+	dst := make([]float64, len(gains)+1)
+	dst[0] = base
+	for i := range gains {
+		g := gains[len(gains)-1-i]
+		dst[i+1] = dst[i] - g
+		if dst[i+1] < 0 {
+			dst[i+1] = 0
+		}
+	}
+	return Curve{Unit: curves[0].Unit, M: dst}
+}
+
+// gainsInverted reports whether c's hull has a per-step gain above its
+// predecessor's — an ulp-level rounding artifact of the grid resample that
+// CombineInto must repair before merging.
+func gainsInverted(c Curve) bool {
+	h := c.ConvexHull()
+	for i := 2; i < len(h.M); i++ {
+		if h.M[i-1]-h.M[i] > h.M[i-2]-h.M[i-1] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCombineMatchesGlobalSort pins the run merge bitwise to the global sort
+// on curve sets of every size Combine sees, from one curve up to a whole
+// machine's batch apps, with and without runs that need repair, and on
+// non-finite input.
+func TestCombineMatchesGlobalSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	repaired := 0
+	check := func(label string, curves []Curve) {
+		t.Helper()
+		got := Combine(curves...)
+		want := combineGlobalSort(curves...)
+		if !bitsEqual(got.M, want.M) {
+			t.Fatalf("%s: Combine differs from the global-sort reference", label)
+		}
+		for _, c := range curves {
+			if gainsInverted(c) {
+				repaired++
+				break
+			}
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		k := 1 + rng.Intn(20)
+		curves := make([]Curve, k)
+		for i := range curves {
+			n := 1 + rng.Intn(300)
+			switch rng.Intn(3) {
+			case 0:
+				curves[i] = benchCurve(rng, n)
+			case 1:
+				// Coarse byte-valued curves: long straight hull segments
+				// whose resampled gains tie and invert at the ulp level.
+				pts := make([]float64, n)
+				for j := range pts {
+					pts[j] = float64(rng.Intn(256)) / 10
+				}
+				curves[i] = New(64*1024, pts)
+			default:
+				// A shared straight segment, so gains tie across curves.
+				pts := make([]float64, n)
+				for j := range pts {
+					pts[j] = math.Max(0, 9-0.3*float64(j))
+				}
+				curves[i] = New(64*1024, pts)
+			}
+		}
+		check("random", curves)
+	}
+	if repaired == 0 {
+		t.Fatal("no curve set exercised run repair")
+	}
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		label string
+		pts   [][]float64
+	}{
+		// NaN gains ahead of finite ones, with a finite start: only the
+		// global sort puts them last.
+		{"nan-gains", [][]float64{{5, 1, math.NaN()}, {4, 2, 1}}},
+		{"nan", [][]float64{{5, math.NaN(), 1, 0}, {4, 2, 1}}},
+		{"all-nan", [][]float64{{math.NaN(), math.NaN()}}},
+		{"inf", [][]float64{{inf, 3, 1}, {2, 1}}},
+		{"inf-minus-inf", [][]float64{{inf, inf, 1}, {inf, 0}}},
+		{"zeros", [][]float64{{0, 0, 0}, {0}, {1, 0, 0}}},
+	} {
+		curves := make([]Curve, len(tc.pts))
+		for i, p := range tc.pts {
+			curves[i] = Curve{Unit: 1, M: p}
+		}
+		check(tc.label, curves)
+	}
+}
+
+// TestRepairRun covers both repair strategies: the insertion sort for runs
+// an ulp out of order, and the sort.Float64s fallback once a run is too far
+// from descending for insertion to stay cheap.
+func TestRepairRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct {
+		label string
+		gen   func(i, n int) float64
+	}{
+		{"descending", func(i, n int) float64 { return float64(n - i) }},
+		{"ulp-jitter", func(i, n int) float64 {
+			return math.Nextafter(float64(n-i/8), math.Inf(2*rng.Intn(2)-1))
+		}},
+		{"ascending", func(i, n int) float64 { return float64(i) }},
+		{"random", func(i, n int) float64 { return rng.Float64() }},
+	} {
+		run := make([]float64, 500)
+		for i := range run {
+			run[i] = tc.gen(i, len(run))
+		}
+		want := append([]float64(nil), run...)
+		sort.Sort(sort.Reverse(sort.Float64Slice(want)))
+		repairRun(run)
+		if !bitsEqual(run, want) {
+			t.Errorf("%s: repairRun did not sort the run descending", tc.label)
 		}
 	}
 }

@@ -195,6 +195,12 @@ func Add(a, b Curve) Curve {
 // optimal; Combine therefore takes the hull of each input first (which also
 // matches the paper's DRRIP approximation). All inputs must share a unit.
 // The result has steps = sum of the inputs' steps.
+//
+// The greedy construction spends each capacity step on the largest
+// remaining per-step gain of any hull. Each hull's gains already form a
+// descending run, so Combine merges the runs instead of sorting every gain
+// (see CombineInto); the result is bitwise what a global sort gives. Gains
+// containing NaN fall back to that global sort.
 func Combine(curves ...Curve) Curve {
 	if len(curves) == 0 {
 		panic("mrc: Combine of no curves")

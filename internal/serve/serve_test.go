@@ -555,6 +555,19 @@ func TestDrainRejectsNewSubmissions(t *testing.T) {
 	reg, release := blockingRegistry(t)
 	s, base := startServer(t, func(c *Config) { c.Registry = reg })
 	ack, _ := submit(t, base, &Spec{Type: "block", Seed: 1})
+	// Drain only once a worker has picked the experiment up: drained while
+	// still queued, it never runs and so is never interrupted.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		state := s.exps[ack.ID].State
+		s.mu.Unlock()
+		if state == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("blocked experiment still %q after 30s, want running", state)
+		}
+	}
 	done := make(chan error, 1)
 	go func() { done <- s.Drain(context.Background()) }()
 	// Drain trips the stopper; the blocking run notices within ~5ms and

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jumanji/internal/core"
+	"jumanji/internal/topo"
 )
 
 // BenchmarkEpochLoop measures the epoch-based model end to end: one
@@ -26,6 +27,29 @@ func BenchmarkEpochLoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(cfg, wl, core.JumanjiPlacer{}, epochs, 10)
+	}
+	b.ReportMetric(epochs, "epochs/op")
+}
+
+// BenchmarkEpochLoopFleet is BenchmarkEpochLoop at fleet scale: the 16×16
+// DatacenterWorkload (28 VMs, 140 apps on 256 banks) under StaticPlacer,
+// whose striping puts every app in every bank. Placement is cheap there, so
+// the epoch step — and within it the per-bank vulnerability pass — sets the
+// time.
+//
+//	go test -run xxx -bench EpochLoopFleet -benchmem -cpu 1 ./internal/system
+func BenchmarkEpochLoopFleet(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Machine.Mesh = topo.NewMesh(16, 16)
+	wl, err := DatacenterWorkload(cfg.Machine, rand.New(rand.NewSource(1)), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const epochs = 10
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Run(cfg, wl, core.StaticPlacer{}, epochs, 2)
 	}
 	b.ReportMetric(epochs, "epochs/op")
 }

@@ -149,6 +149,7 @@ func run(cfg Config, wl Workload, placer core.Placer, epochs, warmup int, fixedL
 	res.Timeline = make([]EpochSample, 0, epochs)
 	model := &epochModel{cfg: cfg}
 	vuln := make([]float64, n)
+	var vp vulnPass
 	// perfs keeps each app's epoch perf for the observer's SLO attribution
 	// (latency breakdowns need more than the timeline sample). Allocated
 	// only under instrumentation so uninstrumented runs stay alloc-free.
@@ -235,7 +236,7 @@ func run(cfg Config, wl Workload, placer core.Placer, epochs, warmup int, fixedL
 			modelSp = cfg.Spans.Start("system.epoch_model")
 		}
 		model.reset(in, pl, prevForModel, apps)
-		vulnerabilityByApp(in, pl, vuln)
+		vp.run(in, pl, vuln)
 
 		sample := EpochSample{
 			Epoch:   epoch,
@@ -515,48 +516,4 @@ func buildInput(cfg Config, apps []*appState, ctrls map[core.AppID]*feedback.Con
 		}
 	}
 	return in
-}
-
-// vulnerabilityByApp computes, for every app, the average number of
-// applications from other VMs occupying the banks it accesses (weighted by
-// its capacity share per bank) — the Sec. VII security metric. Overlay
-// (Ideal Batch) applications live in per-VM overlay banks shared only
-// within their VM, so their count considers overlay co-tenants only.
-func vulnerabilityByApp(in *core.Input, pl *core.Placement, out []float64) {
-	for i := range in.Apps {
-		app := core.AppID(i)
-		ov := pl.Overlay(app)
-		ts := pl.TimeShared(app) > 0
-		total, weighted := 0.0, 0.0
-		for b, by := range pl.AllocRow(app) {
-			if by <= 0 {
-				continue
-			}
-			attackers := 0
-			for j := range in.Apps {
-				other := core.AppID(j)
-				if in.Apps[j].VM == in.Apps[i].VM {
-					continue
-				}
-				orow := pl.AllocRow(other)
-				if b >= len(orow) || orow[b] <= 0 || pl.Overlay(other) != ov {
-					continue
-				}
-				// Time-multiplexed co-tenants (Sec. IV-B oversubscription)
-				// are never resident together: the bank is flushed on
-				// every context switch, so there is no shared state or
-				// port contention to observe.
-				if ts && pl.TimeShared(other) > 0 {
-					continue
-				}
-				attackers++
-			}
-			total += by
-			weighted += by * float64(attackers)
-		}
-		out[i] = 0
-		if total > 0 {
-			out[i] = weighted / total
-		}
-	}
 }
