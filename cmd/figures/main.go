@@ -70,10 +70,7 @@ func run() int {
 			return 2
 		}
 	}
-	o.Metrics, o.Events, o.Trace = sinks.Registry(), sinks.Events(), sinks.Trace()
-	o.TS = sinks.TS()
-	o.Prov = sinks.Prov()
-	o.Spans = sinks.Spans()
+	o.Sinks = sinks.Sinks()
 	o.Progress = status.Tracker()
 
 	// The journal fingerprint covers everything that shapes a cell's

@@ -78,10 +78,7 @@ func run() int {
 	}
 	opts.HighLoad = *load != "low"
 	opts.Parallel = *par
-	opts.Metrics, opts.Events, opts.Trace = sinks.Registry(), sinks.Events(), sinks.Trace()
-	opts.TS = sinks.TS()
-	opts.Prov = sinks.Prov()
-	opts.Spans = sinks.Spans()
+	opts.Sinks = sinks.Sinks()
 	opts.Progress = status.Tracker()
 
 	fingerprint := fmt.Sprintf("jumanji-sim|design=%s|lc=%s|load=%s|epochs=%d|warmup=%d|seed=%d|vms=%d|router=%d|mesh=%dx%d|shard=%dx%d|metrics=%t|events=%t|trace=%t|tsdb=%t|prov=%t",

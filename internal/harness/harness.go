@@ -24,8 +24,6 @@ import (
 	"jumanji/internal/chaos"
 	"jumanji/internal/core"
 	"jumanji/internal/obs"
-	"jumanji/internal/obs/tsdb"
-	"jumanji/internal/parallel"
 	"jumanji/internal/stats"
 	"jumanji/internal/sweep"
 	"jumanji/internal/system"
@@ -53,44 +51,16 @@ type Options struct {
 	// default) uses one worker per CPU; 1 recovers the serial path.
 	// Results are bit-identical across worker counts.
 	Parallel int
-	// Metrics, Events, and Trace are optional observability sinks
-	// (internal/obs), shared by every run the harness performs: all runs
-	// count into one registry, append to one decision log, and render as
-	// stacked lanes in one trace. Nil (the default) disables each.
-	// Parallel cells record into private sinks merged back in cell order,
-	// so the output does not depend on Parallel.
-	Metrics *obs.Registry
-	Events  *obs.EventLog
-	Trace   *obs.Trace
-	// TS is the flight-recorder time-series store (internal/obs/tsdb): with
-	// Metrics also set, every run samples its registry into TS once per
-	// epoch. Shared and merged exactly like the sinks above.
-	TS *tsdb.DB
-	// Prov is the placement-provenance sink (schema v3, -provenance): every
-	// run's placers record why each VM/app landed where it did. Shared and
-	// cell-merged exactly like Events.
-	Prov *obs.EventLog
-	// Spans, when set, times simulator phases (placement, epoch model,
-	// per-cell execution) on the wall clock. Unlike the sinks above it is
-	// concurrency-safe, so one Spans is shared by every cell as-is rather
-	// than going through the cell-merge protocol.
-	Spans *obs.Spans
-	// Progress, when set, is updated lock-free as cells complete, feeding
-	// the -progress reporter and the -status HTTP endpoints. It never
-	// affects results: output is byte-identical with or without it.
-	Progress *parallel.Progress
-	// PublishMetrics, when set, receives a snapshot of Metrics after each
-	// figure's cell merge — the safe point where no worker holds the
-	// registry — so a live /metrics endpoint can serve a consistent copy
-	// mid-run without racing the single-threaded sinks.
-	PublishMetrics func([]obs.MetricSnapshot)
-	// PublishTimeseries is PublishMetrics's analogue for TS: a fresh dump
-	// of the merged store after each figure's cell merge, feeding the
-	// /timeseries and /stream endpoints.
-	PublishTimeseries func([]tsdb.SeriesData)
-	// PublishProvenance receives each cell's decoded provenance records
-	// after the cell merge, in cell order, feeding the /explain endpoint.
-	PublishProvenance func([]obs.Event)
+	// Sinks are the optional observability sinks (internal/obs), shared by
+	// every run the harness performs: all runs count into one registry,
+	// append to one decision log and provenance log, sample into one
+	// flight recorder, and render as stacked lanes in one trace. Parallel
+	// cells record into private sinks merged back in cell order, so the
+	// output does not depend on Parallel. Spans and Progress are
+	// concurrency-safe and shared by every cell; the publish hooks fire
+	// after each figure's cell merge, feeding the live endpoints. Nil (the
+	// default) disables each.
+	obs.Sinks
 	// Engine, when set, layers crash safety over every cell fan-out: the
 	// journal/resume protocol, keep-going failure isolation, per-cell
 	// watchdog deadlines, and single-cell repro mode (internal/sweep). Nil
@@ -138,10 +108,7 @@ func (o Options) systemConfig() system.Config {
 	if o.MeshW > 0 && o.MeshH > 0 {
 		cfg.Machine.Mesh = topo.NewMesh(o.MeshW, o.MeshH)
 	}
-	cfg.Metrics, cfg.Events, cfg.Trace = o.Metrics, o.Events, o.Trace
-	cfg.TS = o.TS
-	cfg.Prov = o.Prov
-	cfg.Spans = o.Spans
+	cfg.Sinks = o.Sinks
 	cfg.Chaos = o.Chaos
 	cfg.CheckInvariants = o.CheckInvariants
 	cfg.Ctx = o.Ctx
@@ -178,32 +145,25 @@ func loadLabel(high bool) string {
 
 // runCells fans a figure's n independent cells across o.Parallel workers
 // through sweep.Cells. Each cell receives a copy of o whose observability
-// sinks are private to the cell (obs.Cell); after the pool drains, the
-// private sinks merge into o's sinks in cell-index order. Both the returned
-// results (indexed by cell) and the merged sinks are therefore identical for
-// any worker count. Live introspection rides along without touching
+// sinks are the cell's private ones (obs.Cell); after the pool drains, they
+// merge into o's sinks in cell-index order. Both the returned results
+// (indexed by cell) and the merged sinks are therefore identical for any
+// worker count. Live introspection rides along without touching
 // determinism: o.Spans and o.Progress are concurrency-safe and shared by all
-// workers as-is (each cell is timed under the "harness.cell" phase), and
-// o.PublishMetrics fires once after the merge, when no worker holds the
-// registry anymore.
+// workers as-is (each cell is timed under the "harness.cell" phase), and the
+// publish hooks fire once after the merge, when no worker holds the sinks
+// anymore.
 //
 // The label names this sweep in journal records, resume lookups, failure
 // reports, and -cell repro coordinates; it must be stable across runs and
 // unique per distinct cell grid. With o.Engine nil the sweep layer is the
 // historical zero-overhead fan-out.
 func runCells[T any](o Options, label string, n int, cell func(i int, co Options) T) []T {
-	s := sweep.Sinks{
-		Metrics: o.Metrics, Events: o.Events, Trace: o.Trace, TS: o.TS,
-		Prov: o.Prov, Spans: o.Spans, Progress: o.Progress,
-		PublishMetrics: o.PublishMetrics, PublishTimeseries: o.PublishTimeseries,
-		PublishProvenance: o.PublishProvenance,
-	}
-	return sweep.Cells(o.Engine, s, label, o.Seed, o.Parallel, n,
+	return sweep.Cells(o.Engine, o.Sinks, label, o.Seed, o.Parallel, n,
 		func(i int, c *obs.Cell, ctx context.Context) T {
 			co := o
 			co.Parallel = 1 // cells never nest fan-out
-			co.Metrics, co.Events, co.Trace, co.TS = c.Metrics, c.Events, c.Trace, c.TS
-			co.Prov = c.Prov
+			co.Sinks = c.Sinks
 			if ctx != nil { // a nil ctx keeps any caller-installed o.Ctx
 				co.Ctx = ctx
 			}

@@ -27,8 +27,8 @@ type MetricState struct {
 // CellState is a serializable snapshot of a Cell's private sinks, the unit
 // the cell journal persists. All fields are exported (gob carries them) and
 // the encoding is lossless with respect to merging: replaying a journalled
-// CellState through CellFromState and MergeInto produces byte-identical user
-// sink output to re-running the cell.
+// CellState through CellFromState and Sinks.Merge produces byte-identical
+// user sink output to re-running the cell.
 type CellState struct {
 	Metrics      []MetricState
 	Events       []byte // the cell's JSONL event-log bytes, verbatim
@@ -93,7 +93,7 @@ func (r *Registry) state() []MetricState {
 }
 
 // CellFromState reconstructs a replayable Cell from a journalled snapshot.
-// The result merges through MergeInto exactly like the original cell would
+// The result merges through Sinks.Merge exactly like the original cell would
 // have; merging a sink the current run has disabled is naturally a no-op.
 func CellFromState(st CellState) (*Cell, error) {
 	c := &Cell{}

@@ -9,8 +9,9 @@ import (
 	"jumanji/internal/obs/tsdb"
 )
 
-// populate writes a representative mix of metrics, events, and trace
-// activity into a cell, the way a worker run would.
+// populate writes a representative mix of metrics, events, trace, tsdb, and
+// provenance activity into a cell, the way a worker run would. Disabled
+// (nil) sinks ignore their share.
 func populate(c *Cell) {
 	c.Metrics.Counter("system.epochs").Add(40)
 	c.Metrics.Gauge("run.tail").Set(1.25)
@@ -34,84 +35,109 @@ func populate(c *Cell) {
 	c.Trace.Span(lane, 0, "epoch", "epoch", 0, 100000, map[string]any{"epoch": 0, "vulnerability": 0.125})
 	c.Trace.Instant(lane, 0, "reconfigure", 100000, map[string]any{"moved_fraction_max": 0.2})
 	c.Trace.Counter(lane, "alloc_mb", 0, map[string]float64{"xapian": 2.5})
+
+	c.Prov.EmitPlacementDecision(&PlacementDecision{
+		Epoch: 1, TimeUs: 100000, Design: "jumanji", Stage: StageLatCrit,
+		VM: 0, App: 0, Name: "xapian", LatencyCritical: true, Region: -1,
+		TargetBytes: 2 << 20, PlacedBytes: 2 << 20,
+		Candidates: []BankCandidate{{Bank: 3, Dist: 1, TakenBytes: 2 << 20}},
+	})
 }
 
-// mergeAll folds a cell into fresh user sinks and renders everything to
-// bytes, the same way the CLIs do.
-func mergeAll(t *testing.T, c *Cell) (metrics, events, trace, ts string) {
+// sinkNames orders the deterministic sinks in mergeAll's output.
+var sinkNames = [5]string{"metrics", "events", "trace", "tsdb", "provenance"}
+
+// allSinks returns fresh deterministic sinks, the i-th enabled when bit i of
+// mask is set (bits in sinkNames order), writing into bufs.
+func allSinks(mask int, bufs *[3]bytes.Buffer) Sinks {
+	var s Sinks
+	if mask&1 != 0 {
+		s.Metrics = NewRegistry()
+	}
+	if mask&2 != 0 {
+		s.Events = NewEventLog(&bufs[0])
+	}
+	if mask&4 != 0 {
+		s.Trace = NewTrace(&bufs[1])
+	}
+	if mask&8 != 0 {
+		s.TS = tsdb.New(64)
+	}
+	if mask&16 != 0 {
+		s.Prov = NewEventLog(&bufs[2])
+	}
+	return s
+}
+
+// mergeAll folds a cell into fresh, fully enabled user sinks and renders
+// every sink to bytes, the same way the CLIs do.
+func mergeAll(t *testing.T, c *Cell) [5]string {
 	t.Helper()
-	reg := NewRegistry()
-	var evBuf, trBuf bytes.Buffer
-	ev := NewEventLog(&evBuf)
-	tr := NewTrace(&trBuf)
-	db := tsdb.New(64)
-	if err := c.MergeInto(reg, ev, tr, db, nil); err != nil {
+	var bufs [3]bytes.Buffer
+	s := allSinks(31, &bufs)
+	if err := s.Merge([]*Cell{c}); err != nil {
 		t.Fatal(err)
 	}
 	var regBuf bytes.Buffer
-	if err := reg.WriteText(&regBuf); err != nil {
+	if err := s.Metrics.WriteText(&regBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Close(); err != nil {
+	if err := s.Trace.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var tsBuf bytes.Buffer
-	if err := db.Write(&tsBuf); err != nil {
+	if err := s.TS.Write(&tsBuf); err != nil {
 		t.Fatal(err)
 	}
-	return regBuf.String(), evBuf.String(), trBuf.String(), tsBuf.String()
+	return [5]string{regBuf.String(), bufs[0].String(), bufs[1].String(), tsBuf.String(), bufs[2].String()}
 }
 
 // The journal's core guarantee: a cell snapshotted, gob-encoded (as the
 // journal stores it), decoded, and rebuilt merges byte-identically to the
-// original cell.
+// original cell — for every on/off combination of the five deterministic
+// sinks. Each enabled sink must also record something, so a sink that Cell
+// forgets to mirror, State forgets to snapshot, or CellFromState forgets to
+// rebuild fails here.
 func TestCellStateRoundTripByteIdentical(t *testing.T) {
-	orig := NewCell(NewRegistry(), NewEventLog(&bytes.Buffer{}), NewTrace(nil), tsdb.New(64), NewEventLog(&bytes.Buffer{}))
-	populate(orig)
+	empty := mergeAll(t, nil)
+	for mask := 0; mask < 32; mask++ {
+		var bufs [3]bytes.Buffer
+		orig := allSinks(mask, &bufs).Cell()
+		populate(orig)
 
-	st, err := orig.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	var decoded CellState
-	if err := gob.NewDecoder(bytes.NewReader(payload.Bytes())).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := CellFromState(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
+		st, err := orig.State()
+		if err != nil {
+			t.Fatalf("mask %05b: %v", mask, err)
+		}
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(st); err != nil {
+			t.Fatalf("mask %05b: %v", mask, err)
+		}
+		var decoded CellState
+		if err := gob.NewDecoder(bytes.NewReader(payload.Bytes())).Decode(&decoded); err != nil {
+			t.Fatalf("mask %05b: %v", mask, err)
+		}
+		replayed, err := CellFromState(decoded)
+		if err != nil {
+			t.Fatalf("mask %05b: %v", mask, err)
+		}
 
-	m1, e1, t1, s1 := mergeAll(t, orig)
-	m2, e2, t2, s2 := mergeAll(t, replayed)
-	if m1 != m2 {
-		t.Errorf("metrics diverge:\noriginal:\n%s\nreplayed:\n%s", m1, m2)
-	}
-	if e1 != e2 {
-		t.Errorf("events diverge:\noriginal:\n%s\nreplayed:\n%s", e1, e2)
-	}
-	if t1 != t2 {
-		t.Errorf("trace diverges:\noriginal:\n%s\nreplayed:\n%s", t1, t2)
-	}
-	if s1 != s2 {
-		t.Errorf("tsdb diverges:\noriginal:\n%s\nreplayed:\n%s", s1, s2)
-	}
-	if m1 == "" || e1 == "" {
-		t.Fatal("test exercised empty sinks")
-	}
-	if replayed.TS.Lookup("system.epochs").Len() != 2 {
-		t.Fatal("replayed tsdb lost samples")
+		got, want := mergeAll(t, replayed), mergeAll(t, orig)
+		for i, name := range sinkNames {
+			if on := mask&(1<<i) != 0; on == (want[i] == empty[i]) {
+				t.Errorf("mask %05b: %s enabled=%t but the original cell recorded %q", mask, name, on, want[i])
+			}
+			if got[i] != want[i] {
+				t.Errorf("mask %05b: %s diverges:\noriginal:\n%s\nreplayed:\n%s", mask, name, want[i], got[i])
+			}
+		}
 	}
 }
 
 // A replayed cell must preserve exact counter integers (beyond float64
 // precision) and the gauge set flag.
 func TestCellStateLossless(t *testing.T) {
-	c := NewCell(NewRegistry(), nil, nil, nil, nil)
+	c := Sinks{Metrics: NewRegistry()}.Cell()
 	const big = uint64(1)<<60 + 3
 	c.Metrics.Counter("huge").Add(big)
 	c.Metrics.Gauge("unset")
@@ -138,7 +164,7 @@ func TestCellStateLossless(t *testing.T) {
 
 func TestCellStateDisabledSinks(t *testing.T) {
 	// A fully disabled cell round-trips to a cell that merges as a no-op.
-	c := NewCell(nil, nil, nil, nil, nil)
+	c := Sinks{}.Cell()
 	st, err := c.State()
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +176,7 @@ func TestCellStateDisabledSinks(t *testing.T) {
 	if back.Metrics != nil || back.Trace != nil || back.eventsBuf != nil || back.TS != nil {
 		t.Fatal("disabled sinks resurrected")
 	}
-	if err := back.MergeInto(nil, nil, nil, nil, nil); err != nil {
+	if err := (Sinks{}).Merge([]*Cell{back}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -11,18 +11,19 @@ import (
 )
 
 // CLI bundles the standard observability flags shared by the commands
-// (-events, -tracefile, -metrics, -spans, -cpuprofile, -memprofile) and
-// owns the files behind them. Usage:
+// (-events, -tracefile, -metrics, -tsdb, -provenance, -spans, -cpuprofile,
+// -memprofile) and owns the files behind them. Open creates every requested
+// file up front, so a bad path fails before the run starts. Usage:
 //
 //	var cli obs.CLI
 //	cli.RegisterFlags(flag.CommandLine)
 //	flag.Parse()
 //	if err := cli.Open(); err != nil { ... }
 //	defer cli.Close()
-//	cfg.Metrics, cfg.Events, cfg.Trace = cli.Registry(), cli.Events(), cli.Trace()
+//	opts.Sinks = cli.Sinks()
 //
-// Flags left empty cost nothing: the accessors return nil and every sink
-// method no-ops on nil.
+// Flags left empty cost nothing: their sinks are nil and every sink method
+// no-ops on nil.
 type CLI struct {
 	EventsPath  string
 	TracePath   string
@@ -33,14 +34,10 @@ type CLI struct {
 	MemProfile  string
 	SpansOn     bool
 
-	registry *Registry
-	events   *EventLog
-	trace    *Trace
-	ts       *tsdb.DB
-	prov     *EventLog
-	spans    *Spans
-	files    []*os.File
-	cpuOn    bool
+	sinks                       Sinks
+	metricsOut, tsdbOut, memOut *os.File
+	files                       []*os.File
+	cpuOn                       bool
 }
 
 // RegisterFlags declares the observability flags on fs.
@@ -55,61 +52,59 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&c.SpansOn, "spans", false, "time simulator phases on the wall clock; summary to stderr at exit (implied by -status)")
 }
 
-func (c *CLI) create(path string) (*os.File, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	c.files = append(c.files, f)
-	return f, nil
-}
-
-// Open creates the requested output files and starts CPU profiling. It is a
+// Open creates every requested output file, including those written only at
+// Close (-metrics, -tsdb, -memprofile), and starts CPU profiling. It is a
 // no-op for every flag left empty.
 func (c *CLI) Open() error {
-	if c.EventsPath != "" {
-		f, err := c.create(c.EventsPath)
-		if err != nil {
-			return err
+	var err error
+	create := func(path string) *os.File {
+		if path == "" || err != nil {
+			return nil
 		}
-		c.events = NewEventLog(f)
+		f, ferr := os.Create(path)
+		if ferr != nil {
+			err = ferr
+			return nil
+		}
+		c.files = append(c.files, f)
+		return f
 	}
-	if c.TracePath != "" {
-		f, err := c.create(c.TracePath)
-		if err != nil {
-			return err
-		}
-		c.trace = NewTrace(f)
+	events, trace, prov := create(c.EventsPath), create(c.TracePath), create(c.ProvPath)
+	if c.MetricsPath != "-" {
+		c.metricsOut = create(c.MetricsPath)
+	}
+	c.tsdbOut, c.memOut = create(c.TSDBPath), create(c.MemProfile)
+	cpu := create(c.CPUProfile)
+	if err != nil {
+		return err
+	}
+	if events != nil {
+		c.sinks.Events = NewEventLog(events)
+	}
+	if trace != nil {
+		c.sinks.Trace = NewTrace(trace)
+	}
+	if prov != nil {
+		c.sinks.Prov = NewEventLog(prov)
 	}
 	if c.MetricsPath != "" || c.TSDBPath != "" {
 		// The flight recorder samples the registry, so -tsdb forces one on
 		// even without -metrics.
-		c.registry = NewRegistry()
+		c.sinks.Metrics = NewRegistry()
 	}
-	if c.TSDBPath != "" {
-		c.ts = tsdb.New(tsdb.DefaultCapacity)
-	}
-	if c.ProvPath != "" {
-		f, err := c.create(c.ProvPath)
-		if err != nil {
-			return err
-		}
-		c.prov = NewEventLog(f)
+	if c.tsdbOut != nil {
+		c.sinks.TS = tsdb.New(tsdb.DefaultCapacity)
 	}
 	if c.SpansOn {
-		c.spans = NewSpans()
-		if c.trace != nil {
+		c.sinks.Spans = NewSpans()
+		if trace != nil {
 			// With both -spans and -tracefile, the phase timings land in the
 			// trace as their own "wall clock" lane at Close.
-			c.spans.EnableTrace()
+			c.sinks.Spans.EnableTrace()
 		}
 	}
-	if c.CPUProfile != "" {
-		f, err := c.create(c.CPUProfile)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+	if cpu != nil {
+		if err := pprof.StartCPUProfile(cpu); err != nil {
 			return err
 		}
 		c.cpuOn = true
@@ -117,28 +112,14 @@ func (c *CLI) Open() error {
 	return nil
 }
 
-// Registry returns the metric registry (nil when -metrics is unset).
-func (c *CLI) Registry() *Registry { return c.registry }
-
-// Events returns the decision log (nil when -events is unset).
-func (c *CLI) Events() *EventLog { return c.events }
-
-// Trace returns the trace sink (nil when -tracefile is unset).
-func (c *CLI) Trace() *Trace { return c.trace }
-
-// TS returns the flight-recorder store (nil when -tsdb is unset).
-func (c *CLI) TS() *tsdb.DB { return c.ts }
-
-// Prov returns the placement-provenance log (nil when -provenance is
-// unset).
-func (c *CLI) Prov() *EventLog { return c.prov }
-
-// Spans returns the phase timers (nil when -spans is unset).
-func (c *CLI) Spans() *Spans { return c.spans }
+// Sinks returns the sinks the flags enabled: Metrics (-metrics or -tsdb),
+// Events, Trace, TS, Prov, and Spans. Progress and the publish hooks are
+// left for the caller to fill in.
+func (c *CLI) Sinks() Sinks { return c.sinks }
 
 // Close finishes every sink: stops the CPU profile, writes the heap
-// profile, flushes the trace, dumps the metrics, and closes the files. It
-// returns the first error but always attempts every step.
+// profile, flushes the trace, dumps the metrics and time series, and closes
+// the files. It returns the first error but always attempts every step.
 func (c *CLI) Close() error {
 	var first error
 	keep := func(err error) {
@@ -146,46 +127,31 @@ func (c *CLI) Close() error {
 			first = err
 		}
 	}
+	s := c.sinks
 	if c.cpuOn {
 		pprof.StopCPUProfile()
 		c.cpuOn = false
 	}
-	if c.MemProfile != "" {
-		if f, err := c.create(c.MemProfile); err != nil {
-			keep(err)
-		} else {
-			runtime.GC() // fresh statistics for the heap profile
-			keep(pprof.WriteHeapProfile(f))
-		}
+	if c.memOut != nil {
+		runtime.GC() // fresh statistics for the heap profile
+		keep(pprof.WriteHeapProfile(c.memOut))
 	}
-	if c.spans != nil {
-		c.spans.WriteTrace(c.trace) // before Close; no-op when -tracefile is unset
-		keep(c.spans.WriteText(os.Stderr))
+	if s.Spans != nil {
+		s.Spans.WriteTrace(s.Trace) // before Close; no-op when -tracefile is unset
+		keep(s.Spans.WriteText(os.Stderr))
 	}
-	if c.trace != nil {
-		keep(c.trace.Close())
+	if s.Trace != nil {
+		keep(s.Trace.Close())
 	}
-	if c.events != nil {
-		keep(c.events.Err())
+	keep(s.Events.Err())
+	keep(s.Prov.Err())
+	if c.tsdbOut != nil {
+		keep(s.TS.Write(c.tsdbOut))
 	}
-	if c.prov != nil {
-		keep(c.prov.Err())
-	}
-	if c.ts != nil {
-		if f, err := c.create(c.TSDBPath); err != nil {
-			keep(err)
-		} else {
-			keep(c.ts.Write(f))
-		}
-	}
-	if c.registry != nil && c.MetricsPath != "" {
-		if c.MetricsPath == "-" {
-			keep(c.registry.WriteText(os.Stderr))
-		} else if f, err := c.create(c.MetricsPath); err != nil {
-			keep(err)
-		} else {
-			keep(c.registry.WriteText(f))
-		}
+	if c.MetricsPath == "-" {
+		keep(s.Metrics.WriteText(os.Stderr))
+	} else if c.metricsOut != nil {
+		keep(s.Metrics.WriteText(c.metricsOut))
 	}
 	for _, f := range c.files {
 		if err := f.Close(); err != nil {

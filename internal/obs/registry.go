@@ -1,8 +1,9 @@
 // Package obs is the simulator's observability layer: a typed metrics
 // registry (counters, gauges, histograms), a structured JSONL decision log
 // for epoch-level controller actions, a Chrome trace-event exporter
-// loadable in Perfetto or chrome://tracing, and wall-clock phase timers
-// (Spans).
+// loadable in Perfetto or chrome://tracing, a placement-provenance log, a
+// flight recorder that samples the registry into obs/tsdb once per epoch,
+// and wall-clock phase timers (Spans).
 //
 // The whole package is nil-safe: a nil *Registry hands out nil metrics, and
 // every metric, event-log, trace, and span method is a no-op on a nil
@@ -10,16 +11,19 @@
 // when observability is disabled — BenchmarkObsOverhead and
 // TestAllocGuardSpans guard the bound.
 //
-// Like the rest of the simulator, the deterministic sinks (Registry,
-// EventLog, Trace) are single-threaded: one run owns its sinks. Runs on
-// different goroutines must use separate sinks; the parallel experiment
-// engine gives each worker cell a private Registry, EventLog, and Trace,
-// then folds them into the user-visible ones *in cell order* — never in
-// completion order — via Registry.Merge, EventLog.AppendJSONL, and
-// Trace.Merge. Cell-order merging is what makes a parallel run's sink
-// output byte-identical to a serial run's: counter sums and histogram bins
-// commute, but gauge last-write-wins, event sequence numbers, and trace
-// lane numbering all depend on merge order, so the order is pinned.
+// Sinks bundles a run's sinks; it is the one type the run configurations
+// embed. Like the rest of the simulator, its five deterministic sinks — the
+// metrics Registry, the Events decision log, the Trace, the TS
+// flight-recorder store, and the Prov provenance log — are single-threaded:
+// one run owns its sinks. Runs on different goroutines must use separate
+// sinks; the parallel experiment engine gives each worker cell private
+// mirrors of all five (Sinks.Cell), then folds them into the user-visible
+// ones *in cell order* — never in completion order — via Sinks.Merge.
+// Cell-order merging is what makes a parallel run's sink output
+// byte-identical to a serial run's: counter sums and histogram bins
+// commute, but gauge last-write-wins, event sequence numbers, trace lane
+// numbering, and time-series registration order all depend on merge order,
+// so the order is pinned.
 //
 // Spans is the one deliberate exception to both rules: it measures host
 // wall-clock time (Go's monotonic clock via time.Now/time.Since, so

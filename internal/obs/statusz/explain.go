@@ -49,7 +49,7 @@ func (e *explainStore) keyLocked(k explainKey) {
 
 // PublishProvenance ingests one cell's decoded provenance events for
 // /explain to serve. The harness calls it at cell-merge points in cell
-// order (see sweep.Sinks.PublishProvenance). Safe on a nil Server.
+// order (see obs.Sinks.Merge). Safe on a nil Server.
 func (s *Server) PublishProvenance(evs []obs.Event) {
 	if s == nil {
 		return

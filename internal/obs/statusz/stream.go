@@ -158,7 +158,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // PublishTimeseries installs a flight-recorder dump for /timeseries to
 // serve, scans it with the online anomaly rules, and streams the new
 // samples and any fresh alerts to /stream subscribers. The harness calls it
-// at cell-merge points with an immutable dump (see sweep.Sinks); between
+// at cell-merge points with an immutable dump (see obs.Sinks.Merge); between
 // publishes the endpoints serve the previous one. Safe on a nil Server.
 func (s *Server) PublishTimeseries(dump []tsdb.SeriesData) {
 	if s == nil {

@@ -212,8 +212,8 @@ func harnessOptions(sp *Spec, env Env) harness.Options {
 		Parallel: 1, // serial cells: deterministic journal record order
 		Engine:   env.Engine,
 		Chaos:    env.Chaos,
-		Progress: env.Progress,
 	}
+	o.Progress = env.Progress
 	return o
 }
 

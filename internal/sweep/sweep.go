@@ -33,38 +33,8 @@ import (
 	"jumanji/internal/chaos"
 	"jumanji/internal/journal"
 	"jumanji/internal/obs"
-	"jumanji/internal/obs/tsdb"
 	"jumanji/internal/parallel"
 )
-
-// Sinks bundles a run's shared observability sinks. Cells gives each cell a
-// private mirror (obs.NewCell) and merges back in cell-index order, so the
-// merged output is bit-identical across worker counts.
-type Sinks struct {
-	Metrics *obs.Registry
-	Events  *obs.EventLog
-	Trace   *obs.Trace
-	// TS is the flight-recorder time-series store (internal/obs/tsdb); cells
-	// record per-epoch samples into private mirrors merged like the other
-	// deterministic sinks.
-	TS *tsdb.DB
-	// Prov is the placement-provenance sink (a second event log, schema v3);
-	// cells mirror it like Events and merge seq-renumbered in cell order.
-	Prov           *obs.EventLog
-	Spans          *obs.Spans
-	Progress       *parallel.Progress
-	PublishMetrics func([]obs.MetricSnapshot)
-	// PublishTimeseries, when set, receives a fresh dump of the merged
-	// time-series store at every merge point (same contract as
-	// PublishMetrics: called from the coordinating goroutine, the dump is
-	// immutable plain data safe to hand across goroutines).
-	PublishTimeseries func([]tsdb.SeriesData)
-	// PublishProvenance, when set, receives each cell's decoded provenance
-	// records at every merge point, in cell-index order (same coordinating-
-	// goroutine contract as the other publish hooks). It powers the statusz
-	// /explain endpoint.
-	PublishProvenance func([]obs.Event)
-}
 
 // CellRef names one cell of one sweep: the sweep's label (e.g. "fig12") and
 // the cell index within it.
@@ -244,11 +214,12 @@ func (e *Engine) repro(label string, cell int) string {
 }
 
 // Cells fans run(0..n-1) across workers with the engine's crash-safety
-// layers. Each cell receives a private obs cell (mirroring the enabled sinks
-// in s) and, when a hard deadline is armed, a context that the watchdog
-// cancels; the context is nil otherwise, costing nothing. Results are merged
-// and returned in cell-index order.
-func Cells[T any](e *Engine, s Sinks, label string, seed int64, workers, n int,
+// layers. Each cell receives a private obs cell (s.Cell) and, when a hard
+// deadline is armed, a context that the watchdog cancels; the context is nil
+// otherwise, costing nothing. The cells merge into s in cell-index order
+// (s.Merge, which also fires s's publish hooks), and the results return in
+// the same order.
+func Cells[T any](e *Engine, s obs.Sinks, label string, seed int64, workers, n int,
 	run func(i int, c *obs.Cell, ctx context.Context) T) []T {
 	if e == nil {
 		return cellsFast(s, workers, n, run)
@@ -262,12 +233,12 @@ func Cells[T any](e *Engine, s Sinks, label string, seed int64, workers, n int,
 // cellsFast is the historical harness fan-out, byte for byte: no journal, no
 // recovery, no per-cell context. Kept as its own function so the disabled
 // path adds zero allocations per cell by construction.
-func cellsFast[T any](s Sinks, workers, n int, run func(i int, c *obs.Cell, ctx context.Context) T) []T {
+func cellsFast[T any](s obs.Sinks, workers, n int, run func(i int, c *obs.Cell, ctx context.Context) T) []T {
 	s.Progress.Begin(n, parallel.Workers(min(workers, n)))
 	cells := make([]*obs.Cell, n)
 	out := parallel.Map(workers, n, func(i int) T {
 		t0 := time.Now()
-		cells[i] = obs.NewCell(s.Metrics, s.Events, s.Trace, s.TS, s.Prov)
+		cells[i] = s.Cell()
 		res := run(i, cells[i], nil)
 		d := time.Since(t0)
 		s.Spans.Record("harness.cell", t0, d)
@@ -281,13 +252,13 @@ func cellsFast[T any](s Sinks, workers, n int, run func(i int, c *obs.Cell, ctx 
 // cellsOnly runs the single cell named by Engine.Only, serially and without
 // journaling (it is a repro mode), then panics *OnlyDone so the figure's
 // aggregation never sees the other cells' zero values.
-func cellsOnly[T any](e *Engine, s Sinks, label string, n int, run func(i int, c *obs.Cell, ctx context.Context) T) []T {
+func cellsOnly[T any](e *Engine, s obs.Sinks, label string, n int, run func(i int, c *obs.Cell, ctx context.Context) T) []T {
 	i := e.Only.Cell
 	if i < 0 || i >= n {
 		panic(fmt.Errorf("sweep: cell %s:%d out of range (sweep %q has %d cells)", label, i, label, n))
 	}
 	s.Progress.Begin(1, 1)
-	c := obs.NewCell(s.Metrics, s.Events, s.Trace, s.TS, s.Prov)
+	c := s.Cell()
 	if e.Chaos.Fires(chaos.CellPanic, int64(i), labelKey(label)) {
 		panic(fmt.Sprintf("chaos: injected panic in cell %s:%d", label, i))
 	}
@@ -302,7 +273,7 @@ func cellsOnly[T any](e *Engine, s Sinks, label string, n int, run func(i int, c
 
 // cellsFull is the engine path: resume, journal, chaos, watchdog, and
 // failure isolation around each cell.
-func cellsFull[T any](e *Engine, s Sinks, label string, seed int64, workers, n int,
+func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers, n int,
 	run func(i int, c *obs.Cell, ctx context.Context) T) []T {
 	s.Progress.Begin(n, parallel.Workers(min(workers, n)))
 
@@ -381,7 +352,7 @@ func cellsFull[T any](e *Engine, s Sinks, label string, seed int64, workers, n i
 		} else {
 			end = wd.Begin(i, nil)
 		}
-		cells[i] = obs.NewCell(s.Metrics, s.Events, s.Trace, s.TS, s.Prov)
+		cells[i] = s.Cell()
 		res := run(i, cells[i], ctx)
 		end()
 		if e.Journal != nil {
@@ -447,26 +418,9 @@ func cellsFull[T any](e *Engine, s Sinks, label string, seed int64, workers, n i
 	panic(&RunError{Report: report})
 }
 
-func mergeCells(s Sinks, cells []*obs.Cell) {
-	for _, c := range cells {
-		if err := c.MergeInto(s.Metrics, s.Events, s.Trace, s.TS, s.Prov); err != nil {
-			panic(fmt.Sprintf("sweep: merging cell sinks: %v", err))
-		}
-		if s.PublishProvenance != nil {
-			if raw := c.ProvBytes(); len(raw) > 0 {
-				evs, err := obs.DecodeEventLog(raw)
-				if err != nil {
-					panic(fmt.Sprintf("sweep: decoding cell provenance: %v", err))
-				}
-				s.PublishProvenance(evs)
-			}
-		}
-	}
-	if s.PublishMetrics != nil {
-		s.PublishMetrics(s.Metrics.Snapshot())
-	}
-	if s.PublishTimeseries != nil {
-		s.PublishTimeseries(s.TS.Dump())
+func mergeCells(s obs.Sinks, cells []*obs.Cell) {
+	if err := s.Merge(cells); err != nil {
+		panic(fmt.Sprintf("sweep: merging cell sinks: %v", err))
 	}
 }
 

@@ -44,7 +44,7 @@ func runSweep(t *testing.T, e *Engine, workers int) (out []cellRes, metrics, eve
 	t.Helper()
 	reg := obs.NewRegistry()
 	var evBuf, trBuf bytes.Buffer
-	s := Sinks{Metrics: reg, Events: obs.NewEventLog(&evBuf), Trace: obs.NewTrace(&trBuf)}
+	s := obs.Sinks{Metrics: reg, Events: obs.NewEventLog(&evBuf), Trace: obs.NewTrace(&trBuf)}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -275,7 +275,7 @@ func TestOnlyMode(t *testing.T) {
 	e := &Engine{Only: &CellRef{Label: "lab", Cell: 4}}
 	reg := obs.NewRegistry()
 	var evBuf bytes.Buffer
-	s := Sinks{Metrics: reg, Events: obs.NewEventLog(&evBuf), Trace: obs.NewTrace(nil)}
+	s := obs.Sinks{Metrics: reg, Events: obs.NewEventLog(&evBuf), Trace: obs.NewTrace(nil)}
 
 	out := Cells(e, s, "other", 42, 1, 3, runCell)
 	if len(out) != 3 || out[2].ID != 2 {
@@ -322,7 +322,7 @@ func TestParseCellRef(t *testing.T) {
 func TestWatchdogSoftLogs(t *testing.T) {
 	var logBuf bytes.Buffer
 	e := &Engine{Soft: 20 * time.Millisecond, Log: &logBuf, KeepGoing: true}
-	s := Sinks{}
+	s := obs.Sinks{}
 	out := Cells(e, s, "slow", 1, 2, 2, func(i int, c *obs.Cell, _ context.Context) int {
 		if i == 0 {
 			time.Sleep(120 * time.Millisecond)
@@ -352,7 +352,7 @@ func TestWatchdogHardCancels(t *testing.T) {
 		defer func() {
 			rerr, _ = recover().(*RunError)
 		}()
-		Cells(e, Sinks{}, "wedge", 1, 2, 2, func(i int, c *obs.Cell, ctx context.Context) int {
+		Cells(e, obs.Sinks{}, "wedge", 1, 2, 2, func(i int, c *obs.Cell, ctx context.Context) int {
 			if i == 0 {
 				select {
 				case <-ctx.Done():
@@ -382,17 +382,15 @@ func TestSweepAllocGuard(t *testing.T) {
 	baseline := testing.AllocsPerRun(20, func() {
 		cells := make([]*obs.Cell, n)
 		parallel.Map(1, n, func(i int) int {
-			cells[i] = obs.NewCell(nil, nil, nil, nil, nil)
+			cells[i] = obs.Sinks{}.Cell()
 			return run(i, cells[i], nil)
 		})
-		for _, c := range cells {
-			if err := c.MergeInto(nil, nil, nil, nil, nil); err != nil {
-				t.Fatal(err)
-			}
+		if err := (obs.Sinks{}).Merge(cells); err != nil {
+			t.Fatal(err)
 		}
 	})
 	got := testing.AllocsPerRun(20, func() {
-		Cells(nil, Sinks{}, "bench", 1, 1, n, run)
+		Cells(nil, obs.Sinks{}, "bench", 1, 1, n, run)
 	})
 	if got > baseline {
 		t.Fatalf("disabled sweep path allocates %.0f/run, inline fan-out %.0f/run", got, baseline)
@@ -410,20 +408,18 @@ func BenchmarkSweepOverhead(b *testing.B) {
 		for k := 0; k < b.N; k++ {
 			cells := make([]*obs.Cell, n)
 			parallel.Map(1, n, func(i int) int {
-				cells[i] = obs.NewCell(nil, nil, nil, nil, nil)
+				cells[i] = obs.Sinks{}.Cell()
 				return run(i, cells[i], nil)
 			})
-			for _, c := range cells {
-				if err := c.MergeInto(nil, nil, nil, nil, nil); err != nil {
-					b.Fatal(err)
-				}
+			if err := (obs.Sinks{}).Merge(cells); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("disabled", func(b *testing.B) {
 		b.ReportAllocs()
 		for k := 0; k < b.N; k++ {
-			Cells(nil, Sinks{}, "bench", 1, 1, n, run)
+			Cells(nil, obs.Sinks{}, "bench", 1, 1, n, run)
 		}
 	})
 }

@@ -26,7 +26,6 @@ import (
 	"jumanji/internal/feedback"
 	"jumanji/internal/noc"
 	"jumanji/internal/obs"
-	"jumanji/internal/obs/tsdb"
 )
 
 // Config carries the Table II machine plus model parameters.
@@ -96,37 +95,19 @@ type Config struct {
 	// Seed drives the workload's stochastic arrivals.
 	Seed int64
 
-	// Metrics, Events, and Trace are optional observability sinks
-	// (internal/obs). All three are nil by default and nil-safe: a
-	// disabled sink costs the run nothing beyond a nil check. Metrics
-	// collects counters/gauges/histograms, Events receives the JSONL
-	// epoch decision log, and Trace receives Chrome trace events (one
-	// lane per run, so design comparisons sharing a Trace render as
-	// stacked timelines).
-	Metrics *obs.Registry
-	Events  *obs.EventLog
-	Trace   *obs.Trace
-
-	// Prov is the placement-provenance sink (the fifth sink, schema v3):
-	// one placement_decision record per placed VM/app per reconfiguration,
-	// plus placement_valve records when fallback valves fire. Nil disables
-	// it; the placers then skip all record building (zero allocations,
-	// byte-identical placements — TestAllocGuardProvenance).
-	Prov *obs.EventLog
-
-	// TS is the flight-recorder time-series store. When both Metrics and TS
-	// are set, the run samples the registry into TS once per epoch
-	// (obs.Recorder): counter deltas, gauge values, and histogram
-	// .p50/.p95/.p99 quantiles over each epoch's new observations. Nil-safe
-	// and deterministic like the other sinks; without Metrics it records
-	// nothing (the recorder samples the registry, not the model).
-	TS *tsdb.DB
-
-	// Spans, when set, times the run's major phases (epoch model step,
-	// placement) on the wall clock. Unlike the three sinks above it is
-	// concurrency-safe and deliberately shared across parallel cells — see
-	// the obs package docs — so the harness passes one Spans to every run.
-	Spans *obs.Spans
+	// Sinks are the run's optional observability sinks (internal/obs), all
+	// nil by default and nil-safe: a disabled sink costs the run nothing
+	// beyond a nil check. Metrics collects counters/gauges/histograms,
+	// Events the JSONL epoch decision log, Trace Chrome trace events (one
+	// lane per run, so design comparisons sharing a Trace render as stacked
+	// timelines), and Prov one placement_decision record per placed VM/app
+	// per reconfiguration; with Prov nil the placers build no records
+	// (TestAllocGuardProvenance). With both Metrics and TS set, the run
+	// samples the registry into TS once per epoch (obs.Recorder). Spans
+	// times the epoch model step and placement on the wall clock; it is
+	// concurrency-safe and shared across parallel cells. The run ignores
+	// Progress and the publish hooks, which only fan-outs read.
+	obs.Sinks
 
 	// Ctx, when non-nil, is polled at the top of every epoch; once the
 	// context is done the run panics with a *CancelError. It is how the

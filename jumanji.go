@@ -30,8 +30,6 @@ import (
 	"jumanji/internal/chaos"
 	"jumanji/internal/core"
 	"jumanji/internal/obs"
-	"jumanji/internal/obs/tsdb"
-	"jumanji/internal/parallel"
 	"jumanji/internal/sim"
 	"jumanji/internal/sweep"
 	"jumanji/internal/system"
@@ -181,47 +179,18 @@ type Options struct {
 	// Parallel is the worker count for fanning independent runs (Compare's
 	// designs, TailVsAllocation's sweep points) across cores. 0 (the
 	// default) uses one worker per CPU; 1 recovers the serial path. Results
-	// — including anything recorded into Metrics/Events/Trace — are
+	// — including everything recorded into the deterministic sinks — are
 	// bit-identical across worker counts.
 	Parallel int
-	// Metrics, Events, and Trace are optional observability sinks
-	// (internal/obs): a counter/gauge/histogram registry, the JSONL epoch
-	// decision log, and a Chrome trace-event exporter. All nil by default;
-	// runs sharing one Trace (e.g. Compare) render as stacked per-design
-	// lanes. See the "Observability" section of README.md.
-	Metrics *obs.Registry
-	Events  *obs.EventLog
-	Trace   *obs.Trace
-	// TS is the flight-recorder time-series store (internal/obs/tsdb).
-	// With Metrics also set, every run samples its registry into TS once
-	// per epoch: counter deltas, gauge values, and per-epoch histogram
-	// quantiles. Shared and merged deterministically like the sinks above.
-	TS *tsdb.DB
-	// Prov is the placement-provenance sink (schema v3, the fifth sink):
-	// every placer records candidate banks, scores, and the constraint
-	// that eliminated each losing candidate. Nil disables it at zero cost;
-	// shared and cell-merged deterministically like Events.
-	Prov *obs.EventLog
-	// Spans, when set, times simulator phases (placement, epoch model,
-	// per-run cells) on the wall clock. Unlike the sinks above it is
-	// concurrency-safe; one Spans is shared across parallel runs.
-	Spans *obs.Spans
-	// Progress, when set, is updated lock-free as parallel cells complete;
-	// live readers (e.g. the -status HTTP server) snapshot it for
-	// done/total counts, throughput, and an ETA. It never affects results.
-	Progress *parallel.Progress
-	// PublishMetrics, when set, receives a snapshot of Metrics after each
-	// fan-out's merge, the point where no worker holds the registry — how a
-	// live /metrics endpoint observes the single-threaded sinks safely.
-	PublishMetrics func([]obs.MetricSnapshot)
-	// PublishTimeseries is PublishMetrics's analogue for TS: a fresh dump
-	// of the merged time-series store after each fan-out's merge, feeding
-	// live /timeseries and /stream endpoints.
-	PublishTimeseries func([]tsdb.SeriesData)
-	// PublishProvenance receives each cell's decoded provenance records
-	// after every fan-out's merge, in cell order, feeding the statusz
-	// /explain endpoint.
-	PublishProvenance func([]obs.Event)
+	// Sinks are the optional observability sinks (internal/obs): the
+	// metrics registry, the JSONL decision log, the Chrome trace exporter,
+	// the flight-recorder time-series store, and the placement-provenance
+	// log, plus wall-clock Spans, a live Progress counter, and publish hooks
+	// for live endpoints. All nil by default; set them by name
+	// (opts.Metrics = reg). Runs sharing one Trace (e.g. Compare) render as
+	// stacked per-design lanes. See the "Observability" section of
+	// README.md.
+	obs.Sinks
 	// Engine, when set, layers crash safety over Compare's and
 	// TailVsAllocation's fan-outs (internal/sweep): a fsync'd journal of
 	// completed cells, resume from a prior journal, keep-going failure
@@ -282,10 +251,7 @@ func (o Options) systemConfig() system.Config {
 	}
 	cfg.NoC.RouterDelay = sim.Time(o.RouterDelay)
 	cfg.Seed = o.Seed
-	cfg.Metrics, cfg.Events, cfg.Trace = o.Metrics, o.Events, o.Trace
-	cfg.TS = o.TS
-	cfg.Prov = o.Prov
-	cfg.Spans = o.Spans
+	cfg.Sinks = o.Sinks
 	cfg.Chaos = o.Chaos
 	cfg.CheckInvariants = o.CheckInvariants
 	cfg.Ctx = o.Ctx
@@ -531,16 +497,6 @@ func runInner(opts Options, wl Workload, d Design) (*Result, error) {
 	return convert(d, rr), nil
 }
 
-// sinks bundles the Options' observability sinks for the sweep engine.
-func (o Options) sinks() sweep.Sinks {
-	return sweep.Sinks{
-		Metrics: o.Metrics, Events: o.Events, Trace: o.Trace, TS: o.TS,
-		Prov: o.Prov, Spans: o.Spans, Progress: o.Progress,
-		PublishMetrics: o.PublishMetrics, PublishTimeseries: o.PublishTimeseries,
-		PublishProvenance: o.PublishProvenance,
-	}
-}
-
 // recoverSweep converts the sweep engine's control-flow panics into returned
 // errors, the public API's convention: a *sweep.RunError for a degraded run
 // (some cells failed or were skipped; the survivors are journalled and
@@ -597,13 +553,12 @@ func Compare(opts Options, build func(Options) (Workload, error), designs ...Des
 		names[i] = d.String()
 	}
 	defer recoverSweep(&err)
-	all := sweep.Cells(opts.Engine, opts.sinks(), "compare/"+strings.Join(names, "+"),
+	all := sweep.Cells(opts.Engine, opts.Sinks, "compare/"+strings.Join(names, "+"),
 		opts.Seed, opts.Parallel, len(jobs),
 		func(i int, c *obs.Cell, ctx context.Context) *Result {
 			co := opts
 			co.Parallel = 1
-			co.Metrics, co.Events, co.Trace, co.TS = c.Metrics, c.Events, c.Trace, c.TS
-			co.Prov = c.Prov
+			co.Sinks = c.Sinks
 			if ctx != nil { // a nil ctx keeps any caller-installed opts.Ctx
 				co.Ctx = ctx
 			}

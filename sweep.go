@@ -46,12 +46,12 @@ func TailVsAllocation(opts Options, latCrit string, allocsMB []float64) (out []T
 		return nil, err
 	}
 	defer recoverSweep(&err)
-	out = sweep.Cells(opts.Engine, opts.sinks(), "tailvsalloc/"+latCrit,
+	out = sweep.Cells(opts.Engine, opts.Sinks, "tailvsalloc/"+latCrit,
 		opts.Seed, opts.Parallel, len(allocsMB),
 		func(i int, c *obs.Cell, ctx context.Context) TailPoint {
 			co := opts
 			co.Parallel = 1
-			co.Metrics, co.Events, co.Trace = c.Metrics, c.Events, c.Trace
+			co.Sinks = c.Sinks
 			if ctx != nil {
 				co.Ctx = ctx
 			}
