@@ -19,6 +19,15 @@ import (
 	"jumanji/internal/system"
 )
 
+// must unwraps a figure's result; the benchmarks run without a sweep
+// engine, so an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // benchOptions keeps each figure's regeneration to a few seconds.
 func benchOptions() harness.Options {
 	return harness.Options{Mixes: 2, Epochs: 30, Warmup: 10, Seed: 1}
@@ -27,7 +36,7 @@ func benchOptions() harness.Options {
 func BenchmarkFig04CaseStudyTimeline(b *testing.B) {
 	var lastJigsaw, lastJumanji float64
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig4(benchOptions())
+		r := must(harness.Fig4(benchOptions()))
 		for d, name := range r.Designs {
 			final := r.LatNorm[d][len(r.LatNorm[d])-1]
 			switch name {
@@ -45,7 +54,7 @@ func BenchmarkFig04CaseStudyTimeline(b *testing.B) {
 func BenchmarkFig05CaseStudy(b *testing.B) {
 	var jumanjiSpeedup float64
 	for i := 0; i < b.N; i++ {
-		for _, row := range harness.Fig5(benchOptions()) {
+		for _, row := range must(harness.Fig5(benchOptions())) {
 			if row.Design == "Jumanji" {
 				jumanjiSpeedup = row.Speedup
 			}
@@ -58,7 +67,7 @@ func BenchmarkFig08TailVsAllocation(b *testing.B) {
 	var crossoverMB float64
 	for i := 0; i < b.N; i++ {
 		crossoverMB = 0
-		for _, p := range harness.Fig8(benchOptions()) {
+		for _, p := range must(harness.Fig8(benchOptions())) {
 			if crossoverMB == 0 && p.NormTailDNUCA <= 1 && p.NormTailSNUCA > 1 {
 				crossoverMB = p.AllocMB
 			}
@@ -70,7 +79,7 @@ func BenchmarkFig08TailVsAllocation(b *testing.B) {
 func BenchmarkFig09ControllerSensitivity(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		rows := harness.Fig9(benchOptions())
+		rows := must(harness.Fig9(benchOptions()))
 		lo, hi := rows[0].Speedup, rows[0].Speedup
 		for _, r := range rows {
 			if r.Speedup < lo {
@@ -99,7 +108,7 @@ func BenchmarkFig12PerformanceLeakage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOptions()
 		o.Mixes = 4
-		r := harness.Fig12(o)
+		r := must(harness.Fig12(o))
 		snucaSpread = r.SNUCA[len(r.SNUCA)-1] - r.SNUCA[0]
 		dnucaSpread = r.DNUCA[len(r.DNUCA)-1] - r.DNUCA[0]
 	}
@@ -110,7 +119,7 @@ func BenchmarkFig12PerformanceLeakage(b *testing.B) {
 func BenchmarkFig13MainResults(b *testing.B) {
 	var jumanjiSpeedup, jigsawWorstTail float64
 	for i := 0; i < b.N; i++ {
-		res := harness.Fig13(benchOptions())
+		res := must(harness.Fig13(benchOptions()))
 		for _, row := range res.Rows {
 			for _, d := range row {
 				switch d.Design {
@@ -132,7 +141,7 @@ func BenchmarkFig13MainResults(b *testing.B) {
 func BenchmarkFig14Vulnerability(b *testing.B) {
 	var jigsaw, jumanji float64
 	for i := 0; i < b.N; i++ {
-		for _, row := range harness.Fig14(benchOptions()) {
+		for _, row := range must(harness.Fig14(benchOptions())) {
 			switch row.Design {
 			case "Jigsaw":
 				jigsaw = row.Vulnerability
@@ -148,7 +157,7 @@ func BenchmarkFig14Vulnerability(b *testing.B) {
 func BenchmarkFig15Energy(b *testing.B) {
 	var jumanjiVsStatic float64
 	for i := 0; i < b.N; i++ {
-		for _, row := range harness.Fig15(benchOptions()) {
+		for _, row := range must(harness.Fig15(benchOptions())) {
 			if row.Design == "Jumanji" {
 				jumanjiVsStatic = row.TotalVsStatic
 			}
@@ -163,7 +172,7 @@ func BenchmarkFig16Variants(b *testing.B) {
 		o := benchOptions()
 		o.Mixes = 1
 		worstGapToIdeal = 0
-		for _, row := range harness.Fig16(o) {
+		for _, row := range must(harness.Fig16(o)) {
 			if gap := row.IdealBatch - row.Jumanji; gap > worstGapToIdeal {
 				worstGapToIdeal = gap
 			}
@@ -175,7 +184,7 @@ func BenchmarkFig16Variants(b *testing.B) {
 func BenchmarkFig17VMScaling(b *testing.B) {
 	var min, max float64
 	for i := 0; i < b.N; i++ {
-		rows := harness.Fig17(benchOptions())
+		rows := must(harness.Fig17(benchOptions()))
 		min, max = rows[0].Speedup, rows[0].Speedup
 		for _, r := range rows {
 			if r.Speedup < min {
@@ -193,7 +202,7 @@ func BenchmarkFig17VMScaling(b *testing.B) {
 func BenchmarkFig18NoCSensitivity(b *testing.B) {
 	var atOne, atThree float64
 	for i := 0; i < b.N; i++ {
-		rows := harness.Fig18(benchOptions())
+		rows := must(harness.Fig18(benchOptions()))
 		atOne, atThree = rows[0].Speedup, rows[2].Speedup
 	}
 	b.ReportMetric(atOne, "speedup-1cy-router")
@@ -203,7 +212,7 @@ func BenchmarkFig18NoCSensitivity(b *testing.B) {
 func BenchmarkTable1Scorecard(b *testing.B) {
 	var jumanjiScore float64
 	for i := 0; i < b.N; i++ {
-		for _, row := range harness.Table1(benchOptions()) {
+		for _, row := range must(harness.Table1(benchOptions())) {
 			if row.Design == "Jumanji" {
 				jumanjiScore = 0
 				if row.TailLatency {
@@ -391,7 +400,7 @@ func BenchmarkFiguresParallel(b *testing.B) {
 			o.Mixes = 4
 			o.Parallel = workers
 			for i := 0; i < b.N; i++ {
-				harness.Fig13(o)
+				must(harness.Fig13(o))
 			}
 		}
 	}

@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -35,7 +37,7 @@ func run() int {
 		table    = flag.Int("table", 0, "table number to regenerate (1, 2, 3)")
 		all      = flag.Bool("all", false, "regenerate everything")
 		paper    = flag.Bool("paper", false, "use the paper's protocol scale (40 mixes; slow)")
-		toCSV    = flag.Bool("csv", false, "emit the figure's series as CSV (figures 4, 8, 12, 17, 18)")
+		toCSV    = flag.Bool("csv", false, "emit the figure's series as CSV (figures 4, 8, 12, 17, 18, 19)")
 		parallel = flag.Int("parallel", 0, "worker count for fanning mixes/designs/sweep points across cores (0 = one per CPU, 1 = serial; output is identical either way)")
 		seed     = flag.Int64("seed", 1, "base seed for workload and arrival randomness")
 		mesh     = flag.String("mesh", "", "override the machine topology as WxH (default: the paper's 5x4); Fig. 19 sweeps its own meshes and ignores this")
@@ -121,55 +123,45 @@ func run() int {
 		}
 	}
 
-	// render runs one figure or table, absorbing the sweep engine's
-	// control-flow panics: a degraded sweep (reported once, at the end) or
-	// single-cell repro completion. rc() folds everything into the exit
-	// status after the journal is flushed.
-	rc, onlyDone := 0, false
-	render := func(args string, f func() int) {
-		if onlyDone {
+	// render runs one figure or table. A degraded sweep (reported once, at
+	// the end) moves on to the next; single-cell repro completion and any
+	// other error end the run. rc folds everything into the exit status
+	// after the journal is flushed.
+	rc, ended := 0, false
+	render := func(flagsFmt string, n int, f func(io.Writer, int, harness.Options) error) {
+		if ended {
 			return
 		}
-		curArgs = args
-		defer func() {
-			switch r := recover().(type) {
-			case nil:
-			case *sweep.RunError:
-				rc = 1 // the report prints once, below
-			case *sweep.OnlyDone:
-				fmt.Fprintf(os.Stderr, "figures: cell %s complete\n", r.Ref)
-				onlyDone = true
-			default:
-				panic(r)
-			}
-		}()
-		if code := f(); code > rc {
-			rc = code
+		curArgs = fmt.Sprintf(flagsFmt, n)
+		var rerr *sweep.RunError
+		var done *sweep.OnlyDone
+		switch err := f(os.Stdout, n, o); {
+		case err == nil:
+		case errors.As(err, &rerr):
+			rc = 1 // the report prints once, below
+		case errors.As(err, &done):
+			fmt.Fprintf(os.Stderr, "figures: cell %s complete\n", done.Ref)
+			ended = true
+		default:
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			rc, ended = 2, true
 		}
 	}
 
 	switch {
 	case *all:
-		for _, f := range []int{4, 5, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19} {
-			f := f
-			render(fmt.Sprintf(" -fig %d", f), func() int { return renderFig(f, o) })
+		for _, f := range harness.Figures() {
+			render(" -fig %d", f, harness.Render)
 		}
-		for _, t := range []int{1, 2, 3} {
-			t := t
-			render(fmt.Sprintf(" -table %d", t), func() int { return renderTable(t, o) })
+		for _, t := range harness.Tables() {
+			render(" -table %d", t, harness.RenderTableN)
 		}
 	case *fig != 0 && *toCSV:
-		render(fmt.Sprintf(" -fig %d -csv", *fig), func() int {
-			if err := harness.CSV(os.Stdout, *fig, o); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				return 2
-			}
-			return 0
-		})
+		render(" -fig %d -csv", *fig, harness.CSV)
 	case *fig != 0:
-		render(fmt.Sprintf(" -fig %d", *fig), func() int { return renderFig(*fig, o) })
+		render(" -fig %d", *fig, harness.Render)
 	case *table != 0:
-		render(fmt.Sprintf(" -table %d", *table), func() int { return renderTable(*table, o) })
+		render(" -table %d", *table, harness.RenderTableN)
 	default:
 		flag.Usage()
 		return 2
@@ -197,47 +189,11 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "figures: resumed %d journalled cell(s)\n", rep.Resumed)
 		}
 	}
-	if resil.Cell != "" && !onlyDone {
+	if resil.Cell != "" && !ended {
 		fmt.Fprintf(os.Stderr, "figures: -cell %s matched no sweep; pair it with the -fig/-table it came from\n", resil.Cell)
 		return 2
 	}
 	return rc
-}
-
-func renderFig(n int, o harness.Options) int {
-	w := os.Stdout
-	switch n {
-	case 4:
-		harness.Fig4(o).Render(w)
-	case 5:
-		harness.RenderFig5(w, harness.Fig5(o))
-	case 8:
-		harness.RenderFig8(w, harness.Fig8(o))
-	case 9:
-		harness.RenderFig9(w, harness.Fig9(o))
-	case 11:
-		harness.Fig11(o).Render(w)
-	case 12:
-		harness.Fig12(o).Render(w)
-	case 13:
-		harness.Fig13(o).Render(w)
-	case 14:
-		harness.RenderFig14(w, harness.Fig14(o))
-	case 15:
-		harness.RenderFig15(w, harness.Fig15(o))
-	case 16:
-		harness.RenderFig16(w, harness.Fig16(o))
-	case 17:
-		harness.RenderFig17(w, harness.Fig17(o))
-	case 18:
-		harness.RenderFig18(w, harness.Fig18(o))
-	case 19:
-		harness.RenderFig19(w, harness.Fig19(o))
-	default:
-		fmt.Fprintf(os.Stderr, "figures: no figure %d (the paper's evaluation figures are 4, 5, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18; 19 is the big-topology scaling study)\n", n)
-		return 2
-	}
-	return 0
 }
 
 // parseDims parses a "WxH" topology flag.
@@ -246,20 +202,4 @@ func parseDims(s string) (w, h int, err error) {
 		return 0, 0, fmt.Errorf("invalid mesh %q (want WxH, e.g. 16x16)", s)
 	}
 	return w, h, nil
-}
-
-func renderTable(n int, o harness.Options) int {
-	w := os.Stdout
-	switch n {
-	case 1:
-		harness.RenderTable1(w, harness.Table1(o))
-	case 2:
-		harness.RenderTable2(w)
-	case 3:
-		harness.RenderTable3(w)
-	default:
-		fmt.Fprintf(os.Stderr, "figures: no table %d\n", n)
-		return 2
-	}
-	return 0
 }

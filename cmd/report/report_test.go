@@ -40,7 +40,9 @@ func genRun(t *testing.T, dir string) (events, ts, trace, prov string) {
 	o.Trace = obs.NewTrace(trF)
 	o.TS = tsdb.New(tsdb.DefaultCapacity)
 	o.Prov = obs.NewEventLog(pvF)
-	harness.Fig5(o)
+	if _, err := harness.Fig5(o); err != nil {
+		t.Fatal(err)
+	}
 	if err := o.Events.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,16 @@ func WriteCSV(w io.Writer, header []string, rows [][]float64) error {
 }
 
 // CSV renders the figure's primary series as CSV. Supported figures are the
-// curve/series plots (4, 8, 12, 17, 18); the box-plot and breakdown figures
-// are text-table only.
+// curve/series plots (4, 8, 12, 17, 18, 19); the box-plot and breakdown
+// figures are text-table only. Errors follow Render's contract: a sweep
+// error is returned as is, and nothing is written.
 func CSV(w io.Writer, fig int, o Options) error {
 	switch fig {
 	case 4:
-		r := Fig4(o)
+		r, err := Fig4(o)
+		if err != nil {
+			return err
+		}
 		header := []string{"epoch"}
 		for _, d := range r.Designs {
 			header = append(header, d+"_latnorm", d+"_allocMB", d+"_vuln")
@@ -48,35 +52,50 @@ func CSV(w io.Writer, fig int, o Options) error {
 		}
 		return WriteCSV(w, header, rows)
 	case 8:
-		pts := Fig8(o)
+		pts, err := Fig8(o)
+		if err != nil {
+			return err
+		}
 		rows := make([][]float64, len(pts))
 		for i, p := range pts {
 			rows[i] = []float64{p.AllocMB, p.NormTailSNUCA, p.NormTailDNUCA}
 		}
 		return WriteCSV(w, []string{"alloc_mb", "snuca_tail", "dnuca_tail"}, rows)
 	case 12:
-		r := Fig12(o)
+		r, err := Fig12(o)
+		if err != nil {
+			return err
+		}
 		rows := make([][]float64, len(r.SNUCA))
 		for i := range r.SNUCA {
 			rows[i] = []float64{float64(i), r.SNUCA[i], r.DNUCA[i]}
 		}
 		return WriteCSV(w, []string{"mix", "snuca_tail", "dnuca_tail"}, rows)
 	case 17:
-		res := Fig17(o)
+		res, err := Fig17(o)
+		if err != nil {
+			return err
+		}
 		rows := make([][]float64, len(res))
 		for i, r := range res {
 			rows[i] = []float64{float64(r.VMs), r.Speedup}
 		}
 		return WriteCSV(w, []string{"vms", "speedup"}, rows)
 	case 18:
-		res := Fig18(o)
+		res, err := Fig18(o)
+		if err != nil {
+			return err
+		}
 		rows := make([][]float64, len(res))
 		for i, r := range res {
 			rows[i] = []float64{float64(r.RouterDelay), r.Speedup}
 		}
 		return WriteCSV(w, []string{"router_cycles", "speedup"}, rows)
 	case 19:
-		res := Fig19(o)
+		res, err := Fig19(o)
+		if err != nil {
+			return err
+		}
 		header := []string{"tiles"}
 		var rows [][]float64
 		for _, r := range res {

@@ -88,12 +88,11 @@ type Fig12Result struct {
 // The S-NUCA partition's tail varies with the co-runners (DRRIP set-dueling
 // leakage) and violates the deadline for some mixes; the two-nearest-banks
 // placement is stable and lower.
-func Fig12(o Options) Fig12Result {
-	o.validate()
+func Fig12(o Options) (Fig12Result, error) {
 	b := caseStudyBuilder("img-dnn", true)
 	// Exported fields: cell results are gob-encoded into the crash journal.
 	type pair struct{ SNUCA, DNUCA float64 }
-	cells := runCells(o, "fig12", o.Mixes, func(mix int, co Options) pair {
+	cells, err := runCells(o, "fig12", o.Mixes, func(mix int, co Options) pair {
 		cfg := co.systemConfig()
 		// Keep the request-arrival seed fixed across mixes: the paper's
 		// Fig. 12 varies only the co-running batch applications, so any
@@ -110,6 +109,9 @@ func Fig12(o Options) Fig12Result {
 		d := system.RunFixedLat(cfgMix, wl, 2.0*(1<<20), true, o.Epochs, o.Warmup)
 		return pair{SNUCA: s.WorstNormTail, DNUCA: d.WorstNormTail}
 	})
+	if err != nil {
+		return Fig12Result{}, err
+	}
 	var res Fig12Result
 	for _, c := range cells {
 		res.SNUCA = append(res.SNUCA, c.SNUCA)
@@ -117,7 +119,7 @@ func Fig12(o Options) Fig12Result {
 	}
 	sort.Float64s(res.SNUCA)
 	sort.Float64s(res.DNUCA)
-	return res
+	return res, nil
 }
 
 // Render prints the sorted tail curves.

@@ -23,15 +23,14 @@ type Fig4Result struct {
 // VM-Part, Jigsaw, and Jumanji. The four design runs are independent cells
 // of the worker pool; every cell rebuilds the (identical) mix-0 workload
 // from its deterministic seed.
-func Fig4(o Options) Fig4Result {
-	o.validate()
+func Fig4(o Options) (Fig4Result, error) {
 	placers := []core.Placer{core.AdaptivePlacer{}, core.VMPartPlacer{}, core.JigsawPlacer{}, core.JumanjiPlacer{}}
 	b := caseStudyBuilder("xapian", true)
 	// Exported fields: cell results are gob-encoded into the crash journal.
 	type timeline struct {
 		Lat, Alloc, Vuln []float64
 	}
-	cells := runCells(o, "fig4", len(placers), func(d int, co Options) timeline {
+	cells, err := runCells(o, "fig4", len(placers), func(d int, co Options) timeline {
 		cfg := co.systemConfig()
 		wl, seed := buildMix(b, cfg.Machine, o.Seed, 0)
 		cfg.Seed = seed
@@ -70,6 +69,9 @@ func Fig4(o Options) Fig4Result {
 		}
 		return tl
 	})
+	if err != nil {
+		return Fig4Result{}, err
+	}
 	res := Fig4Result{}
 	for d, p := range placers {
 		res.Designs = append(res.Designs, p.Name())
@@ -77,7 +79,7 @@ func Fig4(o Options) Fig4Result {
 		res.AllocMB = append(res.AllocMB, cells[d].Alloc)
 		res.Vuln = append(res.Vuln, cells[d].Vuln)
 	}
-	return res
+	return res, nil
 }
 
 // Render prints the timelines as aligned columns.
@@ -128,8 +130,11 @@ type Fig5Row struct {
 
 // Fig5 reproduces the case-study summary: tail latency and batch speedup
 // per design, averaged over the configured number of mixes.
-func Fig5(o Options) []Fig5Row {
-	sums := runMixes(o, caseStudyBuilder("xapian", true), mainDesigns())
+func Fig5(o Options) ([]Fig5Row, error) {
+	sums, err := runMixes(o, caseStudyBuilder("xapian", true), mainDesigns())
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig5Row, 0, len(sums))
 	for _, s := range sums {
 		rows = append(rows, Fig5Row{
@@ -139,7 +144,7 @@ func Fig5(o Options) []Fig5Row {
 			Vulnerability: s.Vulnerability,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderFig5 prints the Fig. 5 table.

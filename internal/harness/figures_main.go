@@ -23,20 +23,20 @@ type Fig13Result struct {
 // Fig13 runs the full main-results protocol. With PaperOptions this is the
 // heaviest experiment (the paper's version summarizes 969 trillion
 // simulated cycles); QuickOptions keeps it in the tens of seconds.
-func Fig13(o Options) Fig13Result {
-	o.validate()
+func Fig13(o Options) (Fig13Result, error) {
 	var res Fig13Result
 	for _, high := range []bool{true, false} {
-		for _, lc := range LCNames() {
-			res.Workloads = append(res.Workloads, lc)
+		for _, wl := range append(LCNames(), "Mixed") {
+			sums, err := runMixes(o, workloadBuilder(wl, high), mainDesigns())
+			if err != nil {
+				return Fig13Result{}, err
+			}
+			res.Workloads = append(res.Workloads, wl)
 			res.HighLoad = append(res.HighLoad, high)
-			res.Rows = append(res.Rows, runMixes(o, caseStudyBuilder(lc, high), mainDesigns()))
+			res.Rows = append(res.Rows, sums)
 		}
-		res.Workloads = append(res.Workloads, "Mixed")
-		res.HighLoad = append(res.HighLoad, high)
-		res.Rows = append(res.Rows, runMixes(o, mixedBuilder(high), mainDesigns()))
 	}
-	return res
+	return res, nil
 }
 
 // Render prints the per-workload box summaries.
@@ -66,13 +66,16 @@ type Fig14Row struct {
 // Fig14 reports each design's port-attack vulnerability averaged over the
 // case-study mixes. The S-NUCA designs expose all 15 untrusted apps;
 // Jigsaw's heuristic locality leaves a small residue; Jumanji is exactly 0.
-func Fig14(o Options) []Fig14Row {
-	sums := runMixes(o, mixedBuilder(true), mainDesigns())
+func Fig14(o Options) ([]Fig14Row, error) {
+	sums, err := runMixes(o, mixedBuilder(true), mainDesigns())
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig14Row, 0, len(sums))
 	for _, s := range sums {
 		rows = append(rows, Fig14Row{Design: s.Design, Vulnerability: s.Vulnerability})
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderFig14 prints the vulnerability table.
@@ -95,11 +98,10 @@ type Fig15Row struct {
 // Fig15 reproduces the energy comparison at high load: D-NUCAs cut NoC and
 // memory energy; the way-partitioned S-NUCAs pay extra misses. One worker-
 // pool cell per mix; the per-mix breakdowns fold in mix order.
-func Fig15(o Options) []Fig15Row {
-	o.validate()
+func Fig15(o Options) ([]Fig15Row, error) {
 	placers := mainDesigns()
 	b := caseStudyBuilder("xapian", true)
-	cells := runCells(o, "fig15", o.Mixes, func(mix int, co Options) []energy.Breakdown {
+	cells, err := runCells(o, "fig15", o.Mixes, func(mix int, co Options) []energy.Breakdown {
 		cfg := co.systemConfig()
 		cfgMix := cfg
 		wl, seed := buildMix(b, cfg.Machine, o.Seed, mix)
@@ -111,6 +113,9 @@ func Fig15(o Options) []Fig15Row {
 		}
 		return perMix
 	})
+	if err != nil {
+		return nil, err
+	}
 	perKI := make([]energy.Breakdown, len(placers))
 	for _, perMix := range cells {
 		for i := range placers {
@@ -129,7 +134,7 @@ func Fig15(o Options) []Fig15Row {
 	for i := range rows {
 		rows[i].TotalVsStatic = (rows[i].L1 + rows[i].L2 + rows[i].LLC + rows[i].NoC + rows[i].Mem) / staticTotal
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderFig15 prints the energy breakdown.

@@ -69,8 +69,7 @@ func datacenterBuilder(w, h int, highLoad bool) mixBuilder {
 // and deadline behaviour survive the scale-up, and hierarchical placement
 // keeps its reconfiguration cost (fraction of data re-homed) bounded while
 // S-NUCA striping re-homes more data as the stripe set widens.
-func Fig19(o Options) []Fig19Row {
-	o.validate()
+func Fig19(o Options) ([]Fig19Row, error) {
 	meshes := scaleMeshes()
 	placers := scalePlacers()
 	// Flatten meshes × mixes into one cell grid, Fig. 18 style. Exported
@@ -78,7 +77,7 @@ func Fig19(o Options) []Fig19Row {
 	type outcome struct {
 		Tails, Speedups, Moved []float64 // per placer
 	}
-	cells := runCells(o, "fig19", len(meshes)*o.Mixes, func(i int, co Options) outcome {
+	cells, err := runCells(o, "fig19", len(meshes)*o.Mixes, func(i int, co Options) outcome {
 		mesh, mix := meshes[i/o.Mixes], i%o.Mixes
 		cfg := co.systemConfig()
 		cfg.Machine.Mesh = mesh
@@ -105,6 +104,9 @@ func Fig19(o Options) []Fig19Row {
 		}
 		return out
 	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig19Row, 0, len(meshes)*len(placers))
 	for mi, mesh := range meshes {
 		mixCells := cells[mi*o.Mixes : (mi+1)*o.Mixes]
@@ -125,7 +127,7 @@ func Fig19(o Options) []Fig19Row {
 			rows = append(rows, row)
 		}
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderFig19 prints the scaling study.

@@ -34,7 +34,7 @@ func TestFig4RenderPanelOrder(t *testing.T) {
 
 func TestFig19Scaling(t *testing.T) {
 	o := Options{Mixes: 1, Epochs: 12, Warmup: 4, Seed: 1}
-	rows := Fig19(o)
+	rows := must(Fig19(o))
 	meshes, placers := scaleMeshes(), scalePlacers()
 	if len(rows) != len(meshes)*len(placers) {
 		t.Fatalf("%d rows, want %d", len(rows), len(meshes)*len(placers))
@@ -94,20 +94,18 @@ func TestMeshOverrideValidate(t *testing.T) {
 		{Mixes: 1, Epochs: 10, Warmup: 1, MeshW: 3},
 		{Mixes: 1, Epochs: 10, Warmup: 1, MeshH: 3},
 		{Mixes: 1, Epochs: 10, Warmup: 1, MeshW: -2, MeshH: -2},
+		{Mixes: 1, Epochs: 10, Warmup: 1, MeshW: 2, MeshH: 2},
+		{Mixes: 1, Epochs: 10, Warmup: 1, MeshW: 4, MeshH: 4},
 	} {
-		o := o
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("options %+v should panic", o)
-				}
-			}()
-			o.validate()
-		}()
+		if o.validate() == nil {
+			t.Errorf("options %+v should fail validation", o)
+		}
 	}
 	// A valid override reaches the system config.
 	o := Options{Mixes: 1, Epochs: 10, Warmup: 1, MeshW: 8, MeshH: 8}
-	o.validate()
+	if err := o.validate(); err != nil {
+		t.Fatal(err)
+	}
 	if cfg := o.systemConfig(); cfg.Machine.Banks() != 64 {
 		t.Errorf("mesh override not applied: %d banks", cfg.Machine.Banks())
 	}

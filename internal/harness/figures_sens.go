@@ -23,16 +23,14 @@ type Fig16Row struct {
 // Fig16 reproduces the variant study: Jumanji should be within a few
 // percent of Insecure (bank isolation is cheap) and of Ideal Batch (the
 // greedy placement is nearly optimal).
-func Fig16(o Options) []Fig16Row {
-	o.validate()
+func Fig16(o Options) ([]Fig16Row, error) {
 	var rows []Fig16Row
 	for _, high := range []bool{true, false} {
 		for _, lc := range append(LCNames(), "Mixed") {
-			builder := caseStudyBuilder(lc, high)
-			if lc == "Mixed" {
-				builder = mixedBuilder(high)
+			sums, err := runMixes(o, workloadBuilder(lc, high), variantPlacers())
+			if err != nil {
+				return nil, err
 			}
-			sums := runMixes(o, builder, variantPlacers())
 			row := Fig16Row{Workload: lc, HighLoad: high}
 			for _, s := range sums {
 				g := gmeanOfBox(s.Speedup)
@@ -48,7 +46,7 @@ func Fig16(o Options) []Fig16Row {
 			rows = append(rows, row)
 		}
 	}
-	return rows
+	return rows, nil
 }
 
 // gmeanOfBox approximates the gmean by the median of the distribution
@@ -79,8 +77,7 @@ type Fig17Row struct {
 // Fig17 reproduces the VM-scaling study: the same 20 applications split
 // into 1–12 trust domains. Jumanji's speedup should degrade only slightly
 // as isolation constraints tighten.
-func Fig17(o Options) []Fig17Row {
-	o.validate()
+func Fig17(o Options) ([]Fig17Row, error) {
 	configs := []struct {
 		vms   int
 		label string
@@ -100,7 +97,10 @@ func Fig17(o Options) []Fig17Row {
 				return system.ScalingWorkload(m, c.vms, rng, true)
 			},
 		}
-		sums := runMixes(o, builder, []core.Placer{core.StaticPlacer{}, core.JumanjiPlacer{}})
+		sums, err := runMixes(o, builder, []core.Placer{core.StaticPlacer{}, core.JumanjiPlacer{}})
+		if err != nil {
+			return nil, err
+		}
 		row := Fig17Row{VMs: c.vms, Label: c.label}
 		for _, s := range sums {
 			if s.Design == "Jumanji" {
@@ -109,7 +109,7 @@ func Fig17(o Options) []Fig17Row {
 		}
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderFig17 prints the scaling table.
@@ -129,14 +129,13 @@ type Fig18Row struct {
 
 // Fig18 reproduces the NoC sensitivity study: Jumanji's advantage grows
 // with router delay, since locality matters more on a slower NoC.
-func Fig18(o Options) []Fig18Row {
-	o.validate()
+func Fig18(o Options) ([]Fig18Row, error) {
 	// Flatten router delays × mixes into one cell grid. The mix seeds come
 	// from the Fig. 13 "Mixed" label, so every delay point replays the same
 	// workloads and only the NoC varies.
 	rds := []int{1, 2, 3}
 	b := mixedBuilder(true)
-	cells := runCells(o, "fig18", len(rds)*o.Mixes, func(i int, co Options) float64 {
+	cells, err := runCells(o, "fig18", len(rds)*o.Mixes, func(i int, co Options) float64 {
 		rd, mix := rds[i/o.Mixes], i%o.Mixes
 		cfg := co.systemConfig()
 		cfg.NoC.RouterDelay = sim.Time(rd)
@@ -146,11 +145,14 @@ func Fig18(o Options) []Fig18Row {
 		ju := system.Run(cfg, wl, core.JumanjiPlacer{}, o.Epochs, o.Warmup)
 		return ju.BatchWeightedSpeedup / static.BatchWeightedSpeedup
 	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig18Row, 0, len(rds))
 	for ri, rd := range rds {
 		rows = append(rows, Fig18Row{RouterDelay: rd, Speedup: stats.Gmean(cells[ri*o.Mixes : (ri+1)*o.Mixes])})
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderFig18 prints the NoC sensitivity table.

@@ -21,8 +21,7 @@ type Fig8Point struct {
 // vs D-NUCA (nearest banks). Each sweep point is one worker-pool cell; the
 // workload build is deterministic (nil rng) and arrivals keep the base seed
 // at every point, as in the serial protocol.
-func Fig8(o Options) []Fig8Point {
-	o.validate()
+func Fig8(o Options) ([]Fig8Point, error) {
 	allocs := []float64{0.25, 0.5, 0.75, 1, 1.25, 1.5, 1.75, 2, 2.5, 3, 4, 5, 6, 8, 10}
 	return runCells(o, "fig8", len(allocs), func(i int, co Options) Fig8Point {
 		cfg := co.systemConfig()
@@ -57,8 +56,7 @@ type Fig9Row struct {
 // Fig9 reproduces the controller sensitivity study: the Fig. 5 workload
 // under Jumanji while varying the target band, panic threshold, and step
 // size one at a time (paper defaults bolded in the labels).
-func Fig9(o Options) []Fig9Row {
-	o.validate()
+func Fig9(o Options) ([]Fig9Row, error) {
 	type variant struct {
 		label  string
 		mutate func(*feedback.Params)
@@ -80,7 +78,7 @@ func Fig9(o Options) []Fig9Row {
 	b := caseStudyBuilder("xapian", true)
 	// Exported fields: cell results are gob-encoded into the crash journal.
 	type cellOut struct{ Speedup, Tail float64 }
-	cells := runCells(o, "fig9", len(variants)*o.Mixes, func(i int, co Options) cellOut {
+	cells, err := runCells(o, "fig9", len(variants)*o.Mixes, func(i int, co Options) cellOut {
 		v, mix := variants[i/o.Mixes], i%o.Mixes
 		cfg := co.systemConfig()
 		v.mutate(&cfg.Feedback)
@@ -91,6 +89,9 @@ func Fig9(o Options) []Fig9Row {
 		ju := system.Run(cfgMix, wl, core.JumanjiPlacer{}, o.Epochs, o.Warmup)
 		return cellOut{Speedup: ju.BatchWeightedSpeedup / static.BatchWeightedSpeedup, Tail: ju.WorstNormTail}
 	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig9Row, 0, len(variants))
 	for vi, v := range variants {
 		var speedups, tails []float64
@@ -105,7 +106,7 @@ func Fig9(o Options) []Fig9Row {
 			WorstNormTail: stats.Max(tails),
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderFig9 prints the sensitivity table.

@@ -1,9 +1,11 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (Sec. VIII). Each FigNN function runs the experiment and
-// returns a structured, printable result; cmd/figures renders them as text
-// tables and bench_test.go wraps them as benchmarks. Scale (number of
-// random batch mixes, epochs per run) is configurable so the full paper
-// protocol and a quick smoke run share one code path.
+// returns a structured, printable result, or the error that stopped its
+// sweep (invalid options, a degraded run, single-cell repro); Render is the
+// text rendering cmd/figures and jumanji-serve share, and bench_test.go
+// wraps the FigNN functions as benchmarks. Scale (number of random batch
+// mixes, epochs per run) is configurable so the full paper protocol and a
+// quick smoke run share one code path.
 //
 // The protocol is embarrassingly parallel — random batch mixes × designs ×
 // sweep points — and every figure fans its independent cells across a
@@ -40,7 +42,8 @@ type Options struct {
 	// zero — the default — keeps the paper's 5×4). Figures with their own
 	// topology sweep (Fig. 19) ignore it. Big meshes run the paper's fixed
 	// 20-app workloads on a larger chip; pair with the D-NUCA designs only
-	// if the superlinear flat-placement cost is acceptable.
+	// if the superlinear flat-placement cost is acceptable. An override
+	// below 20 tiles is rejected: those workloads would not fit.
 	MeshW, MeshH int
 	// Epochs and Warmup control each run's length.
 	Epochs, Warmup int
@@ -90,13 +93,22 @@ func PaperOptions() Options {
 	return Options{Mixes: 40, Epochs: 80, Warmup: 25, Seed: 1}
 }
 
-func (o Options) validate() {
+// minMeshTiles is the smallest mesh override the figures accept: the
+// paper's workloads place 20 applications (4 VMs of 1 LC + 4 batch, or
+// Fig. 17's regroupings of the same 20), one per core.
+const minMeshTiles = 20
+
+func (o Options) validate() error {
 	if o.Mixes <= 0 || o.Epochs <= 0 || o.Warmup < 0 || o.Warmup >= o.Epochs {
-		panic(fmt.Sprintf("harness: invalid options %+v", o))
+		return fmt.Errorf("harness: invalid options: mixes=%d epochs=%d warmup=%d", o.Mixes, o.Epochs, o.Warmup)
 	}
 	if (o.MeshW > 0) != (o.MeshH > 0) || o.MeshW < 0 || o.MeshH < 0 {
-		panic(fmt.Sprintf("harness: invalid mesh override %dx%d", o.MeshW, o.MeshH))
+		return fmt.Errorf("harness: invalid mesh override %dx%d", o.MeshW, o.MeshH)
 	}
+	if o.MeshW > 0 && o.MeshW*o.MeshH < minMeshTiles {
+		return fmt.Errorf("harness: mesh override %dx%d is below the %d tiles the paper's workloads need", o.MeshW, o.MeshH, minMeshTiles)
+	}
+	return nil
 }
 
 // systemConfig returns the default machine configuration with the
@@ -157,8 +169,12 @@ func loadLabel(high bool) string {
 // The label names this sweep in journal records, resume lookups, failure
 // reports, and -cell repro coordinates; it must be stable across runs and
 // unique per distinct cell grid. With o.Engine nil the sweep layer is the
-// historical zero-overhead fan-out.
-func runCells[T any](o Options, label string, n int, cell func(i int, co Options) T) []T {
+// historical zero-overhead fan-out. Invalid options fail here, before any
+// cell runs; every other error is sweep.Cells'.
+func runCells[T any](o Options, label string, n int, cell func(i int, co Options) T) ([]T, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	return sweep.Cells(o.Engine, o.Sinks, label, o.Seed, o.Parallel, n,
 		func(i int, c *obs.Cell, ctx context.Context) T {
 			co := o
@@ -244,8 +260,7 @@ func sweepLabel(b mixBuilder, placers []core.Placer) string {
 // from its own coordinates only (cellSeed), so outcome K is independent of
 // o.Mixes and of every other cell — the property the parallel engine and
 // TestMixPrefixIndependent rely on.
-func runMixCells(o Options, b mixBuilder, placers []core.Placer) []mixOutcome {
-	o.validate()
+func runMixCells(o Options, b mixBuilder, placers []core.Placer) ([]mixOutcome, error) {
 	return runCells(o, sweepLabel(b, placers), o.Mixes, func(mix int, co Options) mixOutcome {
 		cfg := co.systemConfig()
 		cfgMix := cfg
@@ -277,8 +292,11 @@ func runMixCells(o Options, b mixBuilder, placers []core.Placer) []mixOutcome {
 }
 
 // runMixes aggregates runMixCells into per-design summaries.
-func runMixes(o Options, b mixBuilder, placers []core.Placer) []DesignSummary {
-	outcomes := runMixCells(o, b, placers)
+func runMixes(o Options, b mixBuilder, placers []core.Placer) ([]DesignSummary, error) {
+	outcomes, err := runMixCells(o, b, placers)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]DesignSummary, len(placers))
 	for i, p := range placers {
 		var tails, speedups []float64
@@ -299,7 +317,7 @@ func runMixes(o Options, b mixBuilder, placers []core.Placer) []DesignSummary {
 			out[i].NormTail = stats.Summarize(tails)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // caseStudyBuilder builds the 4×(1 LC + 4 B) workload for one LC app.
@@ -320,6 +338,15 @@ func mixedBuilder(highLoad bool) mixBuilder {
 			return system.MixedLCWorkload(m, rng, highLoad)
 		},
 	}
+}
+
+// workloadBuilder builds one row of Figs. 13 and 16: a latency-critical
+// app's case study, or "Mixed".
+func workloadBuilder(name string, highLoad bool) mixBuilder {
+	if name == "Mixed" {
+		return mixedBuilder(highLoad)
+	}
+	return caseStudyBuilder(name, highLoad)
 }
 
 // LCNames returns the latency-critical application names in Table III order.

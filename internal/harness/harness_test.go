@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// must unwraps a figure's result; these tests run without a sweep engine,
+// so an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // tinyOptions keeps every figure's test under a second or two.
 func tinyOptions() Options {
 	return Options{Mixes: 2, Epochs: 24, Warmup: 8, Seed: 1}
@@ -18,19 +27,14 @@ func TestOptionsValidate(t *testing.T) {
 		{Mixes: 1, Epochs: 10, Warmup: 10},
 	}
 	for i, o := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d should panic", i)
-				}
-			}()
-			o.validate()
-		}()
+		if o.validate() == nil {
+			t.Errorf("case %d should fail validation", i)
+		}
 	}
 }
 
 func TestFig4ShapesAndStory(t *testing.T) {
-	r := Fig4(tinyOptions())
+	r := must(Fig4(tinyOptions()))
 	if len(r.Designs) != 4 {
 		t.Fatalf("designs = %v", r.Designs)
 	}
@@ -62,7 +66,7 @@ func TestFig4ShapesAndStory(t *testing.T) {
 }
 
 func TestFig5Story(t *testing.T) {
-	rows := Fig5(tinyOptions())
+	rows := must(Fig5(tinyOptions()))
 	byName := map[string]Fig5Row{}
 	for _, r := range rows {
 		byName[r.Design] = r
@@ -86,7 +90,7 @@ func TestFig5Story(t *testing.T) {
 func TestFig8Crossover(t *testing.T) {
 	o := tinyOptions()
 	o.Epochs, o.Warmup = 40, 10
-	pts := Fig8(o)
+	pts := must(Fig8(o))
 	if len(pts) == 0 {
 		t.Fatal("no points")
 	}
@@ -109,7 +113,7 @@ func TestFig8Crossover(t *testing.T) {
 }
 
 func TestFig9Insensitive(t *testing.T) {
-	rows := Fig9(tinyOptions())
+	rows := must(Fig9(tinyOptions()))
 	if len(rows) != 9 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -150,7 +154,7 @@ func TestFig11PortAttackSignal(t *testing.T) {
 func TestFig12LeakageShape(t *testing.T) {
 	o := tinyOptions()
 	o.Mixes = 4
-	r := Fig12(o)
+	r := must(Fig12(o))
 	if len(r.SNUCA) != 4 || len(r.DNUCA) != 4 {
 		t.Fatal("wrong mix count")
 	}
@@ -171,7 +175,7 @@ func TestFig12LeakageShape(t *testing.T) {
 }
 
 func TestFig14Vulnerability(t *testing.T) {
-	rows := Fig14(tinyOptions())
+	rows := must(Fig14(tinyOptions()))
 	byName := map[string]float64{}
 	for _, r := range rows {
 		byName[r.Design] = r.Vulnerability
@@ -193,7 +197,7 @@ func TestFig14Vulnerability(t *testing.T) {
 }
 
 func TestFig15EnergyShape(t *testing.T) {
-	rows := Fig15(tinyOptions())
+	rows := must(Fig15(tinyOptions()))
 	byName := map[string]Fig15Row{}
 	for _, r := range rows {
 		byName[r.Design] = r
@@ -219,7 +223,7 @@ func TestFig15EnergyShape(t *testing.T) {
 func TestFig17Scaling(t *testing.T) {
 	o := tinyOptions()
 	o.Mixes = 2
-	rows := Fig17(o)
+	rows := must(Fig17(o))
 	if len(rows) != 6 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -241,7 +245,7 @@ func TestFig17Scaling(t *testing.T) {
 
 func TestFig18Monotone(t *testing.T) {
 	o := tinyOptions()
-	rows := Fig18(o)
+	rows := must(Fig18(o))
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -258,7 +262,7 @@ func TestFig18Monotone(t *testing.T) {
 func TestTable1Scorecard(t *testing.T) {
 	// Longer runs than tinyOptions: the scorecard's deadline criterion
 	// needs settled controllers.
-	rows := Table1(Options{Mixes: 2, Epochs: 50, Warmup: 25, Seed: 1})
+	rows := must(Table1(Options{Mixes: 2, Epochs: 50, Warmup: 25, Seed: 1}))
 	byName := map[string]Table1Row{}
 	for _, r := range rows {
 		byName[r.Design] = r
@@ -294,7 +298,7 @@ func TestFig16VariantsClose(t *testing.T) {
 	o := tinyOptions()
 	o.Mixes = 2
 	// Restrict to one workload for test speed by calling runMixes directly.
-	sums := runMixes(o, caseStudyBuilder("xapian", true), variantPlacers())
+	sums := must(runMixes(o, caseStudyBuilder("xapian", true), variantPlacers()))
 	var ju, ins, ideal float64
 	for _, s := range sums {
 		switch s.Design {
@@ -340,7 +344,7 @@ func TestFig13FullProtocolTiny(t *testing.T) {
 	// all 12 workload/load combinations present, each with the five main
 	// designs, and the headline inequality holding in aggregate.
 	o := Options{Mixes: 1, Epochs: 16, Warmup: 6, Seed: 1}
-	r := Fig13(o)
+	r := must(Fig13(o))
 	if len(r.Workloads) != 12 || len(r.Rows) != 12 {
 		t.Fatalf("workloads = %d", len(r.Workloads))
 	}
@@ -378,7 +382,7 @@ func TestFig13FullProtocolTiny(t *testing.T) {
 
 func TestFig16FullProtocolTiny(t *testing.T) {
 	o := Options{Mixes: 1, Epochs: 16, Warmup: 6, Seed: 1}
-	rows := Fig16(o)
+	rows := must(Fig16(o))
 	if len(rows) != 12 {
 		t.Fatalf("rows = %d", len(rows))
 	}

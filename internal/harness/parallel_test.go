@@ -14,8 +14,8 @@ import (
 // renderAll13And14 runs Fig. 13 and Fig. 14 and returns their rendered text.
 func renderAll13And14(o Options) string {
 	var buf bytes.Buffer
-	Fig13(o).Render(&buf)
-	RenderFig14(&buf, Fig14(o))
+	must(Fig13(o)).Render(&buf)
+	RenderFig14(&buf, must(Fig14(o)))
 	return buf.String()
 }
 
@@ -49,7 +49,7 @@ func TestParallelSinksEquivalence(t *testing.T) {
 		o.Events = obs.NewEventLog(&evBuf)
 		o.Trace = obs.NewTrace(&trBuf)
 		o.TS = tsdb.New(tsdb.DefaultCapacity)
-		Fig5(o)
+		must(Fig5(o))
 		if err := o.Events.Err(); err != nil {
 			t.Fatalf("parallel=%d: event log error: %v", parallel, err)
 		}
@@ -107,8 +107,8 @@ func TestMixPrefixIndependent(t *testing.T) {
 	small := Options{Mixes: 2, Epochs: 10, Warmup: 3, Seed: 1}
 	large := small
 	large.Mixes = 5
-	few := runMixCells(small, b, placers)
-	many := runMixCells(large, b, placers)
+	few := must(runMixCells(small, b, placers))
+	many := must(runMixCells(large, b, placers))
 	if len(few) != 2 || len(many) != 5 {
 		t.Fatalf("cell counts %d/%d", len(few), len(many))
 	}

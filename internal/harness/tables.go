@@ -19,8 +19,11 @@ type Table1Row struct {
 
 // Table1 derives the paper's qualitative comparison from a measured run of
 // the case study.
-func Table1(o Options) []Table1Row {
-	sums := runMixes(o, caseStudyBuilder("xapian", true), mainDesigns())
+func Table1(o Options) ([]Table1Row, error) {
+	sums, err := runMixes(o, caseStudyBuilder("xapian", true), mainDesigns())
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Table1Row, 0, len(sums))
 	for _, s := range sums {
 		rows = append(rows, Table1Row{
@@ -30,7 +33,7 @@ func Table1(o Options) []Table1Row {
 			BatchSpeedup: s.Speedup.Median >= 1.05,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderTable1 prints the scorecard.

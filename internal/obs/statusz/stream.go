@@ -115,7 +115,9 @@ const sampleBurstCap = 512
 // (so curl-based smoke tests observe a complete event without waiting for
 // run activity), then "samples" and "alert" events as merges publish. On
 // graceful shutdown the subscriber receives a final "shutdown" frame and a
-// clean connection close, never a reset mid-frame.
+// clean connection close, never a reset mid-frame. The subscription starts
+// before "hello" is written, so every publish after a client has read
+// "hello" reaches it.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -125,12 +127,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
+	sub := s.hub.Subscribe()
+	defer s.hub.Unsubscribe(sub)
 	w.WriteHeader(http.StatusOK)
 	w.Write(SSEEvent("hello", map[string]string{"command": s.info.Command})) //nolint:errcheck
 	fl.Flush()
 
-	sub := s.hub.Subscribe()
-	defer s.hub.Unsubscribe(sub)
 	for {
 		select {
 		case <-r.Context().Done():

@@ -33,10 +33,8 @@ type Env struct {
 // equivalent command-line run would print. Repro renders a command that
 // re-runs one failed cell in isolation, for degraded-run reports.
 //
-// Run's error/panic contract mirrors the sweep engine's: a degraded sweep
-// surfaces as *sweep.RunError, either returned (the root API recovers it
-// into an error) or panicked through (the harness figures do); the worker
-// normalizes both. Any other panic is a runner bug, isolated per attempt.
+// Run returns a degraded sweep's *sweep.RunError as its error; any panic is
+// a runner bug, isolated per attempt.
 type Runner struct {
 	Name        string
 	Description string

@@ -25,7 +25,9 @@ func tinySpec(seed int64) *Spec {
 }
 
 // startServer builds and starts a Server on an ephemeral port; mutate
-// tweaks the config first. Cleanup closes it.
+// tweaks the config first. Cleanup closes it and waits for its goroutines:
+// Close does not, and a worker still retiring an experiment would write into
+// StateDir while the test's TempDir is being removed.
 func startServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	t.Helper()
 	cfg := Config{Addr: "127.0.0.1:0", StateDir: t.TempDir()}
@@ -39,7 +41,11 @@ func startServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	t.Cleanup(func() {
+		s.Close()
+		s.dispatchWG.Wait() // no worker starts after the dispatcher exits
+		s.runWG.Wait()
+	})
 	return s, "http://" + s.Addr()
 }
 
@@ -264,7 +270,7 @@ func TestPerClientCap429(t *testing.T) {
 	}
 }
 
-// flakyRegistry registers a "flaky" type that panics a *sweep.RunError on
+// flakyRegistry registers a "flaky" type that returns a *sweep.RunError on
 // its first failN attempts, then succeeds.
 func flakyRegistry(t *testing.T, failN int32) *Registry {
 	t.Helper()
@@ -275,9 +281,9 @@ func flakyRegistry(t *testing.T, failN int32) *Registry {
 		Validate: func(sp *Spec) error { return nil },
 		Run: func(ctx context.Context, sp *Spec, env Env) ([]byte, error) {
 			if calls.Add(1) <= failN {
-				panic(&sweep.RunError{Report: sweep.Report{Failed: []sweep.FailedCell{
+				return nil, &sweep.RunError{Report: sweep.Report{Failed: []sweep.FailedCell{
 					{Label: "flaky", Cell: 0, Seed: sp.Seed, Value: "transient"},
-				}}})
+				}}}
 			}
 			return []byte("eventually\n"), nil
 		},
@@ -427,15 +433,28 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 func TestStreamLifecycle(t *testing.T) {
-	_, base := startServer(t, nil)
-	ack, _ := submit(t, base, tinySpec(4))
+	reg, release := blockingRegistry(t)
+	s, base := startServer(t, func(c *Config) { c.Registry = reg })
+	ack, _ := submit(t, base, &Spec{Type: "block", Seed: 4})
 	resp, err := http.Get(base + "/experiments/" + ack.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	r := bufio.NewReader(resp.Body)
-	var events []string
+	if line, err := r.ReadString('\n'); err != nil || line != "event: hello\n" {
+		t.Fatalf("first stream line %q (%v), want the hello event", line, err)
+	}
+	// The handler subscribes before writing hello, so a client that has read
+	// hello misses no later frame.
+	s.mu.Lock()
+	hub := &s.exps[ack.ID].hub
+	s.mu.Unlock()
+	if n := hub.Subscribers(); n != 1 {
+		t.Fatalf("subscribers once hello is read = %d, want 1", n)
+	}
+	close(release)
+	events := []string{"hello"}
 	for {
 		line, err := r.ReadString('\n')
 		if err != nil {

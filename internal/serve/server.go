@@ -162,15 +162,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.Resume {
-		if err := s.recover(); err != nil {
+		if err := s.replayState(); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// recover replays the state directory into the in-memory maps and queue.
-func (s *Server) recover() error {
+// replayState replays the state directory into the in-memory maps and
+// queue.
+func (s *Server) replayState() error {
 	docs, err := s.store.LoadSpecs()
 	if err != nil {
 		return err
@@ -474,7 +475,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleStream serves one experiment's live SSE feed: a "hello" frame,
 // then "state" transitions, "progress" frames while cells run, and a final
 // frame at the terminal state, after which the stream closes. A drain
-// sends "shutdown" and closes cleanly.
+// sends "shutdown" and closes cleanly. The subscription starts before the
+// state that "hello" reports is read, so no transition after it is missed.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	e := s.lookup(w, r)
 	if e == nil {
@@ -485,6 +487,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	sub := e.hub.Subscribe()
+	defer e.hub.Unsubscribe(sub)
 	s.mu.Lock()
 	s.streamSeq++
 	seq := s.streamSeq
@@ -498,8 +502,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Write(statusz.SSEEvent("hello", map[string]string{"id": e.ID, "state": state})) //nolint:errcheck
 	fl.Flush()
 
-	sub := e.hub.Subscribe()
-	defer e.hub.Unsubscribe(sub)
 	write := func(msg []byte) bool {
 		if _, err := w.Write(msg); err != nil {
 			return false

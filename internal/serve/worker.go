@@ -154,10 +154,6 @@ func (s *Server) runOnce(rn *Runner, e *Experiment, attempt int) (out []byte, re
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if re, ok := r.(*sweep.RunError); ok {
-					rerr = re // harness figures panic the degraded report through
-					return
-				}
 				// A panic outside the sweep's isolation is a service-tier
 				// fault (e.g. chaos serve-panic-cell): isolate and retry.
 				err, retryable = fmt.Errorf("worker panic: %v", r), true
@@ -170,18 +166,13 @@ func (s *Server) runOnce(rn *Runner, e *Experiment, attempt int) (out []byte, re
 			Engine: eng, Chaos: s.cfg.Chaos, Progress: e.progress,
 		})
 	}()
-	if cerr := w.Close(); cerr != nil && err == nil && rerr == nil {
+	if cerr := w.Close(); cerr != nil && err == nil {
 		// A journal that failed to persist is a durability gap, not a
 		// wrong answer: keep the result but say so.
 		s.logf("serve: %s journal: %v", e.ID, cerr)
 	}
-	if err != nil {
-		var re *sweep.RunError
-		if errors.As(err, &re) {
-			// The root API recovers the sweep panic into an error; undo
-			// that so both surfaces classify identically.
-			return out, re, nil, false
-		}
+	if errors.As(err, &rerr) {
+		err = nil
 	}
 	if rep := eng.Report(); rep.Resumed > 0 {
 		s.mu.Lock()

@@ -13,8 +13,9 @@
 // resume run replays journalled cells through obs.CellFromState and runs only
 // the remainder, producing byte-identical merged output. Keep-going mode
 // recovers per-cell panics into a Report naming each failed cell's
-// coordinates, seed, and repro command; watchdog deadlines flag stuck cells
-// and cancel wedged ones through a per-cell context.
+// coordinates, seed, and repro command, which Cells returns as a *RunError;
+// watchdog deadlines flag stuck cells and cancel wedged ones through a
+// per-cell context.
 package sweep
 
 import (
@@ -116,10 +117,9 @@ func (r *Report) WriteText(w io.Writer) {
 	}
 }
 
-// RunError is the panic payload Cells raises after a degraded sweep drains:
-// every runnable cell has finished (and been journalled), the survivors'
-// sinks are merged, and the report names what is missing. Callers recover it
-// at the figure boundary and exit nonzero.
+// RunError is the error Cells returns after a degraded sweep drains: every
+// runnable cell has finished (and been journalled), the survivors' sinks are
+// merged, and the report names what is missing. Commands exit nonzero on it.
 type RunError struct {
 	Report Report
 }
@@ -136,7 +136,7 @@ func (e *RunError) Error() string {
 	return msg
 }
 
-// OnlyDone is the panic payload raised after single-cell repro mode
+// OnlyDone is the error Cells returns after single-cell repro mode
 // (Engine.Only) has run its one cell: there is nothing left to do, and the
 // enclosing figure's aggregation must not run on the other cells' zero
 // values.
@@ -178,7 +178,7 @@ type Engine struct {
 	// for failure reports. Nil leaves Repro fields empty.
 	Repro func(label string, cell int) string
 	// Only, when set, runs just that one cell (serially, no journal) and
-	// panics *OnlyDone; sweeps with other labels run in full so multi-sweep
+	// returns *OnlyDone; sweeps with other labels run in full so multi-sweep
 	// figures still reach the target label.
 	Only *CellRef
 
@@ -219,8 +219,15 @@ func (e *Engine) repro(label string, cell int) string {
 // otherwise, costing nothing. The cells merge into s in cell-index order
 // (s.Merge, which also fires s's publish hooks), and the results return in
 // the same order.
+//
+// The error is a *RunError when cells failed or were skipped, an *OnlyDone
+// after single-cell repro mode ran its cell, or a plain error for an
+// out-of-range Engine.Only index or a failed sink merge; the results are
+// only meaningful without one. A cell job's panic stays a panic on the
+// nil-Engine path and in single-cell repro; an Engine's full sweep isolates
+// it into the RunError's report.
 func Cells[T any](e *Engine, s obs.Sinks, label string, seed int64, workers, n int,
-	run func(i int, c *obs.Cell, ctx context.Context) T) []T {
+	run func(i int, c *obs.Cell, ctx context.Context) T) ([]T, error) {
 	if e == nil {
 		return cellsFast(s, workers, n, run)
 	}
@@ -233,7 +240,7 @@ func Cells[T any](e *Engine, s obs.Sinks, label string, seed int64, workers, n i
 // cellsFast is the historical harness fan-out, byte for byte: no journal, no
 // recovery, no per-cell context. Kept as its own function so the disabled
 // path adds zero allocations per cell by construction.
-func cellsFast[T any](s obs.Sinks, workers, n int, run func(i int, c *obs.Cell, ctx context.Context) T) []T {
+func cellsFast[T any](s obs.Sinks, workers, n int, run func(i int, c *obs.Cell, ctx context.Context) T) ([]T, error) {
 	s.Progress.Begin(n, parallel.Workers(min(workers, n)))
 	cells := make([]*obs.Cell, n)
 	out := parallel.Map(workers, n, func(i int) T {
@@ -245,17 +252,16 @@ func cellsFast[T any](s obs.Sinks, workers, n int, run func(i int, c *obs.Cell, 
 		s.Progress.CellDone(d)
 		return res
 	})
-	mergeCells(s, cells)
-	return out
+	return out, mergeCells(s, cells)
 }
 
 // cellsOnly runs the single cell named by Engine.Only, serially and without
-// journaling (it is a repro mode), then panics *OnlyDone so the figure's
+// journaling (it is a repro mode), then returns *OnlyDone so the figure's
 // aggregation never sees the other cells' zero values.
-func cellsOnly[T any](e *Engine, s obs.Sinks, label string, n int, run func(i int, c *obs.Cell, ctx context.Context) T) []T {
+func cellsOnly[T any](e *Engine, s obs.Sinks, label string, n int, run func(i int, c *obs.Cell, ctx context.Context) T) ([]T, error) {
 	i := e.Only.Cell
 	if i < 0 || i >= n {
-		panic(fmt.Errorf("sweep: cell %s:%d out of range (sweep %q has %d cells)", label, i, label, n))
+		return nil, fmt.Errorf("sweep: cell %s:%d out of range (sweep %q has %d cells)", label, i, label, n)
 	}
 	s.Progress.Begin(1, 1)
 	c := s.Cell()
@@ -267,14 +273,16 @@ func cellsOnly[T any](e *Engine, s obs.Sinks, label string, n int, run func(i in
 	d := time.Since(t0)
 	s.Spans.Record("harness.cell", t0, d)
 	s.Progress.CellDone(d)
-	mergeCells(s, []*obs.Cell{c})
-	panic(&OnlyDone{Ref: CellRef{Label: label, Cell: i}})
+	if err := mergeCells(s, []*obs.Cell{c}); err != nil {
+		return nil, err
+	}
+	return nil, &OnlyDone{Ref: CellRef{Label: label, Cell: i}}
 }
 
 // cellsFull is the engine path: resume, journal, chaos, watchdog, and
 // failure isolation around each cell.
 func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers, n int,
-	run func(i int, c *obs.Cell, ctx context.Context) T) []T {
+	run func(i int, c *obs.Cell, ctx context.Context) T) ([]T, error) {
 	s.Progress.Begin(n, parallel.Workers(min(workers, n)))
 
 	var wd *parallel.Watchdog
@@ -377,7 +385,9 @@ func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers,
 	for _, f := range failures {
 		cells[f.Index] = nil
 	}
-	mergeCells(s, cells)
+	if err := mergeCells(s, cells); err != nil {
+		return nil, err
+	}
 
 	// Journal degradation lands on the shared registry only when it
 	// happened, so a healthy run's metrics stay byte-identical. The bump is
@@ -387,7 +397,7 @@ func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers,
 	}
 
 	if len(failures) == 0 && len(skipped) == 0 {
-		return out
+		return out, nil
 	}
 	// Degradation counters land only on degraded runs, so a clean resume's
 	// metrics output stays byte-identical to an uninterrupted run.
@@ -415,13 +425,14 @@ func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers,
 	}
 	report := e.report
 	e.mu.Unlock()
-	panic(&RunError{Report: report})
+	return nil, &RunError{Report: report}
 }
 
-func mergeCells(s obs.Sinks, cells []*obs.Cell) {
+func mergeCells(s obs.Sinks, cells []*obs.Cell) error {
 	if err := s.Merge(cells); err != nil {
-		panic(fmt.Sprintf("sweep: merging cell sinks: %v", err))
+		return fmt.Errorf("sweep: merging cell sinks: %w", err)
 	}
+	return nil
 }
 
 // labelKey folds a sweep label into a chaos hash key so rate-armed

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -39,24 +40,16 @@ func runCell(i int, c *obs.Cell, _ context.Context) cellRes {
 }
 
 // runSweep fans runCell over fresh sinks and renders everything to strings,
-// recovering a *RunError if the sweep degrades.
+// returning the *RunError if the sweep degrades.
 func runSweep(t *testing.T, e *Engine, workers int) (out []cellRes, metrics, events, trace string, rerr *RunError) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	var evBuf, trBuf bytes.Buffer
 	s := obs.Sinks{Metrics: reg, Events: obs.NewEventLog(&evBuf), Trace: obs.NewTrace(&trBuf)}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if re, ok := r.(*RunError); ok {
-					rerr = re
-					return
-				}
-				panic(r)
-			}
-		}()
-		out = Cells(e, s, "lab", 42, workers, nCells, runCell)
-	}()
+	out, err := Cells(e, s, "lab", 42, workers, nCells, runCell)
+	if err != nil && !errors.As(err, &rerr) {
+		t.Fatal(err)
+	}
 	var mb bytes.Buffer
 	if err := reg.WriteText(&mb); err != nil {
 		t.Fatal(err)
@@ -270,35 +263,41 @@ func TestStopperInterrupts(t *testing.T) {
 }
 
 // Single-cell repro mode: the matching label runs exactly its one cell and
-// panics *OnlyDone; other labels run in full so the figure reaches it.
+// returns *OnlyDone; other labels run in full so the figure reaches it. An
+// index past the sweep's end is an error of its own and runs nothing.
 func TestOnlyMode(t *testing.T) {
 	e := &Engine{Only: &CellRef{Label: "lab", Cell: 4}}
 	reg := obs.NewRegistry()
 	var evBuf bytes.Buffer
 	s := obs.Sinks{Metrics: reg, Events: obs.NewEventLog(&evBuf), Trace: obs.NewTrace(nil)}
 
-	out := Cells(e, s, "other", 42, 1, 3, runCell)
-	if len(out) != 3 || out[2].ID != 2 {
-		t.Fatalf("non-target label did not run fully: %+v", out)
+	out, err := Cells(e, s, "other", 42, 1, 3, runCell)
+	if err != nil || len(out) != 3 || out[2].ID != 2 {
+		t.Fatalf("non-target label did not run fully: %+v, %v", out, err)
 	}
 
+	_, err = Cells(e, s, "lab", 42, 1, nCells, runCell)
 	var done *OnlyDone
-	func() {
-		defer func() {
-			r := recover()
-			od, ok := r.(*OnlyDone)
-			if !ok {
-				t.Fatalf("recovered %v, want *OnlyDone", r)
-			}
-			done = od
-		}()
-		Cells(e, s, "lab", 42, 1, nCells, runCell)
-	}()
+	if !errors.As(err, &done) {
+		t.Fatalf("err = %v, want *OnlyDone", err)
+	}
 	if done.Ref != (CellRef{Label: "lab", Cell: 4}) {
 		t.Fatalf("OnlyDone ref = %+v", done.Ref)
 	}
 	if got := reg.Counter("cells.done").Value(); got != 3+1 {
 		t.Fatalf("cells.done = %d, want 4 (full 'other' sweep + one 'lab' cell)", got)
+	}
+
+	e.Only = &CellRef{Label: "lab", Cell: nCells}
+	_, err = Cells(e, s, "lab", 42, 1, nCells, runCell)
+	if err == nil || errors.As(err, &done) {
+		t.Fatalf("out-of-range cell: err = %v, want a non-OnlyDone error", err)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("has %d cells", nCells)) {
+		t.Errorf("out-of-range error %q does not name the sweep's cell count", err)
+	}
+	if got := reg.Counter("cells.done").Value(); got != 3+1 {
+		t.Fatalf("out-of-range cell ran a cell: cells.done = %d, want 4", got)
 	}
 }
 
@@ -323,14 +322,14 @@ func TestWatchdogSoftLogs(t *testing.T) {
 	var logBuf bytes.Buffer
 	e := &Engine{Soft: 20 * time.Millisecond, Log: &logBuf, KeepGoing: true}
 	s := obs.Sinks{}
-	out := Cells(e, s, "slow", 1, 2, 2, func(i int, c *obs.Cell, _ context.Context) int {
+	out, err := Cells(e, s, "slow", 1, 2, 2, func(i int, c *obs.Cell, _ context.Context) int {
 		if i == 0 {
 			time.Sleep(120 * time.Millisecond)
 		}
 		return i + 10
 	})
-	if out[0] != 10 || out[1] != 11 {
-		t.Fatalf("out = %v", out)
+	if err != nil || out[0] != 10 || out[1] != 11 {
+		t.Fatalf("out = %v, err = %v", out, err)
 	}
 	if got := logBuf.String(); !strings.Contains(got, "cell slow:0") || !strings.Contains(got, "past the soft deadline") {
 		t.Fatalf("stuck log = %q", got)
@@ -347,22 +346,18 @@ func TestWatchdogHardCancels(t *testing.T) {
 	var logBuf bytes.Buffer
 	e := &Engine{Hard: 30 * time.Millisecond, Log: &logBuf, KeepGoing: true}
 	t0 := time.Now()
-	var rerr *RunError
-	func() {
-		defer func() {
-			rerr, _ = recover().(*RunError)
-		}()
-		Cells(e, obs.Sinks{}, "wedge", 1, 2, 2, func(i int, c *obs.Cell, ctx context.Context) int {
-			if i == 0 {
-				select {
-				case <-ctx.Done():
-					panic(fmt.Sprintf("canceled: %v", ctx.Err()))
-				case <-time.After(10 * time.Second):
-				}
+	_, err := Cells(e, obs.Sinks{}, "wedge", 1, 2, 2, func(i int, c *obs.Cell, ctx context.Context) int {
+		if i == 0 {
+			select {
+			case <-ctx.Done():
+				panic(fmt.Sprintf("canceled: %v", ctx.Err()))
+			case <-time.After(10 * time.Second):
 			}
-			return i
-		})
-	}()
+		}
+		return i
+	})
+	var rerr *RunError
+	errors.As(err, &rerr)
 	if elapsed := time.Since(t0); elapsed > 5*time.Second {
 		t.Fatalf("hard deadline did not cancel (took %s)", elapsed)
 	}

@@ -1,12 +1,14 @@
 package system
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"jumanji/internal/core"
 	"jumanji/internal/sim"
+	"jumanji/internal/topo"
 	"jumanji/internal/workload"
 )
 
@@ -53,6 +55,24 @@ func TestWorkloadBuilders(t *testing.T) {
 	}
 	if _, err := CaseStudyWorkload(m, "no-such-app", rng, true); err == nil {
 		t.Error("unknown LC app accepted")
+	}
+}
+
+// DatacenterWorkload refuses a mesh below its four-VM minimum with the same
+// error BuildVMWorkload gives, instead of running out of cores mid-build.
+func TestDatacenterWorkloadTooSmall(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {4, 4}} {
+		m := core.DefaultMachine()
+		m.Mesh = topo.NewMesh(dims[0], dims[1])
+		_, err := DatacenterWorkload(m, rand.New(rand.NewSource(1)), true)
+		want := fmt.Sprintf("system: 20 apps exceed %d cores", dims[0]*dims[1])
+		if err == nil || err.Error() != want {
+			t.Errorf("%dx%d mesh: err = %v, want %q", dims[0], dims[1], err, want)
+		}
+	}
+	wl, err := DatacenterWorkload(core.DefaultMachine(), rand.New(rand.NewSource(1)), true)
+	if err != nil || len(wl.Apps) != 20 {
+		t.Fatalf("5x4 mesh: %d apps, err %v; want 20 apps", len(wl.Apps), err)
 	}
 }
 

@@ -198,11 +198,15 @@ func MixedLCWorkload(m core.Machine, rng *rand.Rand, highLoad bool) (Workload, e
 // applications drawn from a random SPEC mix. VM anchors stripe across the
 // tile space (corners alone cannot seed 20+ VMs), and each VM's threads
 // cluster greedily around its anchor, so trust domains stay local the way
-// the Fig. 2 quadrant layout is local on the 5×4 chip.
+// the Fig. 2 quadrant layout is local on the 5×4 chip. A mesh too small for
+// the four-VM minimum (under 20 tiles) is an error.
 func DatacenterWorkload(m core.Machine, rng *rand.Rand, highLoad bool) (Workload, error) {
 	nVMs := m.Banks() / 9
 	if nVMs < 4 {
 		nVMs = 4
+	}
+	if 5*nVMs > m.Banks() {
+		return Workload{}, fmt.Errorf("system: %d apps exceed %d cores", 5*nVMs, m.Banks())
 	}
 	mix := workload.RandomMix(rng, 4*nVMs)
 	var w Workload

@@ -497,23 +497,6 @@ func runInner(opts Options, wl Workload, d Design) (*Result, error) {
 	return convert(d, rr), nil
 }
 
-// recoverSweep converts the sweep engine's control-flow panics into returned
-// errors, the public API's convention: a *sweep.RunError for a degraded run
-// (some cells failed or were skipped; the survivors are journalled and
-// merged) and a *sweep.OnlyDone after single-cell repro mode. Anything else
-// keeps propagating.
-func recoverSweep(err *error) {
-	switch r := recover().(type) {
-	case nil:
-	case *sweep.RunError:
-		*err = r
-	case *sweep.OnlyDone:
-		*err = r
-	default:
-		panic(r)
-	}
-}
-
 // Compare runs several designs over the same workload. If Static is among
 // the designs (or as the implicit baseline when absent), every result's
 // SpeedupVsStatic is filled in.
@@ -522,8 +505,8 @@ func recoverSweep(err *error) {
 // opts.Parallel workers; each run records into private observability sinks
 // merged back in design order, keeping output identical to a serial run.
 // With opts.Engine set, completed runs are journalled and a degraded sweep
-// returns a *sweep.RunError.
-func Compare(opts Options, build func(Options) (Workload, error), designs ...Design) (results []*Result, err error) {
+// returns a *sweep.RunError (a *sweep.OnlyDone after single-cell repro).
+func Compare(opts Options, build func(Options) (Workload, error), designs ...Design) ([]*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -552,8 +535,7 @@ func Compare(opts Options, build func(Options) (Workload, error), designs ...Des
 	for i, d := range jobs {
 		names[i] = d.String()
 	}
-	defer recoverSweep(&err)
-	all := sweep.Cells(opts.Engine, opts.Sinks, "compare/"+strings.Join(names, "+"),
+	all, err := sweep.Cells(opts.Engine, opts.Sinks, "compare/"+strings.Join(names, "+"),
 		opts.Seed, opts.Parallel, len(jobs),
 		func(i int, c *obs.Cell, ctx context.Context) *Result {
 			co := opts
@@ -568,8 +550,11 @@ func Compare(opts Options, build func(Options) (Workload, error), designs ...Des
 			}
 			return r
 		})
+	if err != nil {
+		return nil, err
+	}
 	static := all[staticAt]
-	results = all[:len(designs):len(designs)]
+	results := all[:len(designs):len(designs)]
 	for _, r := range results {
 		r.SpeedupVsStatic = r.BatchWeightedSpeedup / static.BatchWeightedSpeedup
 	}

@@ -27,8 +27,8 @@ type TailPoint struct {
 // The sweep points are independent, so they fan across opts.Parallel
 // workers; per-point observability sinks merge back in sweep order. With
 // opts.Engine set, completed points are journalled and a degraded sweep
-// returns a *sweep.RunError.
-func TailVsAllocation(opts Options, latCrit string, allocsMB []float64) (out []TailPoint, err error) {
+// returns a *sweep.RunError (a *sweep.OnlyDone after single-cell repro).
+func TailVsAllocation(opts Options, latCrit string, allocsMB []float64) ([]TailPoint, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -45,8 +45,7 @@ func TailVsAllocation(opts Options, latCrit string, allocsMB []float64) (out []T
 	if err != nil {
 		return nil, err
 	}
-	defer recoverSweep(&err)
-	out = sweep.Cells(opts.Engine, opts.Sinks, "tailvsalloc/"+latCrit,
+	return sweep.Cells(opts.Engine, opts.Sinks, "tailvsalloc/"+latCrit,
 		opts.Seed, opts.Parallel, len(allocsMB),
 		func(i int, c *obs.Cell, ctx context.Context) TailPoint {
 			co := opts
@@ -65,5 +64,4 @@ func TailVsAllocation(opts Options, latCrit string, allocsMB []float64) (out []T
 				NormTailDNUCA: d.Apps[0].NormTail,
 			}
 		})
-	return out, err
 }
