@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"jumanji/internal/serve"
+	"jumanji/internal/sweep"
 )
 
 // TestMain doubles as the command's entry point: the tests re-exec this test
@@ -20,7 +25,7 @@ func TestMain(m *testing.M) {
 }
 
 // Bad outside input — a -cell index past its sweep, a mesh too small for the
-// paper's workloads — ends the run with exit status 2 and exactly one
+// paper's workloads, malformed, or too big to run — ends the run with exit status 2 and exactly one
 // "figures:" line naming the problem, never a panic.
 func TestBadInputFailsWithOneLine(t *testing.T) {
 	for _, args := range [][]string{
@@ -28,6 +33,8 @@ func TestBadInputFailsWithOneLine(t *testing.T) {
 		{"-fig", "12", "-cell", "fig12:99"},
 		{"-fig", "5", "-mesh", "2x2"},
 		{"-table", "1", "-mesh", "3x3"},
+		{"-fig", "12", "-mesh", "5x4junk"},
+		{"-fig", "12", "-mesh", "33x33"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "FIGURES_CHILD=1")
@@ -45,5 +52,98 @@ func TestBadInputFailsWithOneLine(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: wrote %d bytes to stdout", args, stdout.Len())
 		}
+	}
+}
+
+// specs builds and normalizes the specs args describe, as serve.Main does.
+// The crash-safety flags are registered too: repro lines carry them.
+func specs(t *testing.T, args []string) []serve.Spec {
+	t.Helper()
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	build := flags(fs)
+	var resil sweep.CLI
+	resil.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	sps, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sps {
+		if _, err := serve.Builtins().Normalize(&sps[i]); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	return sps
+}
+
+// TestStdoutIsRunnerOutput: the command prints exactly the figure and table
+// runners' bytes for the specs its flags build — the bytes jumanji-serve
+// returns.
+func TestStdoutIsRunnerOutput(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "8"},
+		{"-fig", "12", "-csv"},
+		{"-table", "1"},
+		{"-table", "2"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "FIGURES_CHILD=1")
+		var stdout bytes.Buffer
+		cmd.Stdout = &stdout
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		var want []byte
+		for _, sp := range specs(t, args) {
+			rn, _ := serve.Builtins().Lookup(sp.Type)
+			out, err := rn.Run(context.Background(), &sp, serve.Env{Parallel: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, out...)
+		}
+		if !bytes.Equal(stdout.Bytes(), want) {
+			t.Errorf("%v: stdout differs from the runners' bytes:\n--- stdout\n%s--- runners\n%s", args, stdout.Bytes(), want)
+		}
+	}
+}
+
+// TestReproRoundTrips: the figure and table runners' repro lines, parsed by
+// this command's flags, name the spec that failed; a spec the flags cannot
+// express gets no repro line.
+func TestReproRoundTrips(t *testing.T) {
+	reg := serve.Builtins()
+	for _, sp := range []serve.Spec{
+		{Type: "figure", Fig: 12},
+		{Type: "figure", Fig: 19, Format: "csv", Seed: 4},
+		{Type: "figure", Fig: 8, Mixes: 40, Epochs: 80, Warmup: 25, Mesh: "8x8"},
+		{Type: "table", Table: 1, Mesh: "6x6"},
+	} {
+		rn, err := reg.Normalize(&sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := rn.Repro(&sp, "fig12", 3)
+		rest, ok := strings.CutPrefix(line, "figures ")
+		if !ok {
+			t.Fatalf("repro %q does not run figures", line)
+		}
+		args := strings.Fields(rest)
+		for i := range args {
+			args[i] = strings.Trim(args[i], "'")
+		}
+		if got := specs(t, args); len(got) != 1 || got[0].Fingerprint() != sp.Fingerprint() {
+			t.Errorf("repro %q\nparses to %+v\nwant %s", line, got, sp.Fingerprint())
+		}
+	}
+	odd := serve.Spec{Type: "figure", Fig: 12, Epochs: 20, Warmup: 5}
+	rn, err := reg.Normalize(&odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line := rn.Repro(&odd, "fig12", 2); line != "" {
+		t.Errorf("a 20/5-epoch figure has repro %q, which reruns another scale; want none", line)
 	}
 }

@@ -97,13 +97,13 @@ func TestMeshOverrideValidate(t *testing.T) {
 		{Mixes: 1, Epochs: 10, Warmup: 1, MeshW: 2, MeshH: 2},
 		{Mixes: 1, Epochs: 10, Warmup: 1, MeshW: 4, MeshH: 4},
 	} {
-		if o.validate() == nil {
+		if o.Validate() == nil {
 			t.Errorf("options %+v should fail validation", o)
 		}
 	}
 	// A valid override reaches the system config.
 	o := Options{Mixes: 1, Epochs: 10, Warmup: 1, MeshW: 8, MeshH: 8}
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg := o.systemConfig(); cfg.Machine.Banks() != 64 {

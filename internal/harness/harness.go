@@ -98,7 +98,10 @@ func PaperOptions() Options {
 // Fig. 17's regroupings of the same 20), one per core.
 const minMeshTiles = 20
 
-func (o Options) validate() error {
+// Validate rejects options no figure can run: a non-positive scale, a warmup
+// not below the run length, or a mesh override that is malformed or below
+// the 20 tiles the paper's workloads need.
+func (o Options) Validate() error {
 	if o.Mixes <= 0 || o.Epochs <= 0 || o.Warmup < 0 || o.Warmup >= o.Epochs {
 		return fmt.Errorf("harness: invalid options: mixes=%d epochs=%d warmup=%d", o.Mixes, o.Epochs, o.Warmup)
 	}
@@ -172,7 +175,7 @@ func loadLabel(high bool) string {
 // historical zero-overhead fan-out. Invalid options fail here, before any
 // cell runs; every other error is sweep.Cells'.
 func runCells[T any](o Options, label string, n int, cell func(i int, co Options) T) ([]T, error) {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	return sweep.Cells(o.Engine, o.Sinks, label, o.Seed, o.Parallel, n,

@@ -27,7 +27,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Mixes: 1, Epochs: 10, Warmup: 10},
 	}
 	for i, o := range bad {
-		if o.validate() == nil {
+		if o.Validate() == nil {
 			t.Errorf("case %d should fail validation", i)
 		}
 	}

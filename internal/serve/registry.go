@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,27 +14,30 @@ import (
 	"jumanji"
 	"jumanji/internal/chaos"
 	"jumanji/internal/harness"
-	"jumanji/internal/parallel"
+	"jumanji/internal/obs"
 	"jumanji/internal/sweep"
 )
 
-// Env is what a runner gets from the daemon: the crash-safety engine wired
-// to this experiment's journal, the simulator fault injector, and the live
-// progress tracker feeding the experiment's SSE stream. Runners must
-// thread all three into the sweep layer (Options.Engine / Options.Chaos /
-// Options.Progress) so journaling, resume, keep-going isolation, chaos,
-// and progress frames all apply.
+// Env is what a runner gets from its caller, the daemon or a command line:
+// the crash-safety engine wired to the run's journal, the simulator fault
+// injector, the invariant suite switch, the cell worker count, and the
+// observability sinks (the daemon passes only Progress, which feeds the
+// experiment's SSE stream). Runners thread all of it into the sweep layer
+// so journaling, resume, keep-going isolation, chaos, and progress apply.
 type Env struct {
 	Engine   *sweep.Engine
 	Chaos    *chaos.Injector
-	Progress *parallel.Progress
+	Check    bool // per-epoch invariant suite inside every run
+	Parallel int  // cell workers: 0 is one per CPU; the daemon runs 1
+	obs.Sinks
 }
 
 // Runner is one registered experiment type. Validate normalizes a spec in
 // place (filling defaults) and rejects impossible ones; Run executes the
 // normalized spec and returns the result bytes — the exact text the
-// equivalent command-line run would print. Repro renders a command that
-// re-runs one failed cell in isolation, for degraded-run reports.
+// equivalent command-line run prints. Repro renders a command that re-runs
+// one failed cell in isolation, for degraded-run reports, or "" when no
+// command line expresses the spec.
 //
 // Run returns a degraded sweep's *sweep.RunError as its error; any panic is
 // a runner bug, isolated per attempt.
@@ -41,6 +47,14 @@ type Runner struct {
 	Validate    func(sp *Spec) error
 	Run         func(ctx context.Context, sp *Spec, env Env) ([]byte, error)
 	Repro       func(sp *Spec, label string, cell int) string
+}
+
+// repro is Repro, or "" for a runner without one.
+func (rn *Runner) repro(sp *Spec, label string, cell int) string {
+	if rn.Repro == nil {
+		return ""
+	}
+	return rn.Repro(sp, label, cell)
 }
 
 // Registry maps experiment-type names to runners. Safe for concurrent use;
@@ -88,12 +102,22 @@ func (r *Registry) Types() []string {
 	return out
 }
 
+// Normalize looks up the spec's runner and validates the spec with it,
+// filling its defaults in place.
+func (r *Registry) Normalize(sp *Spec) (*Runner, error) {
+	rn, ok := r.Lookup(sp.Type)
+	if !ok {
+		return nil, fmt.Errorf("unknown experiment type %q (registry has %v)", sp.Type, r.Types())
+	}
+	return rn, rn.Validate(sp)
+}
+
 // Builtins returns a registry with the built-in experiment types:
-// "compare" (one design comparison, jumanji-sim's table), "figure" and
-// "table" (one paper figure/table, cmd/figures' text rendering).
+// "compare" (one design comparison, jumanji-sim's output), "figure" and
+// "table" (one paper figure or table, cmd/figures' output).
 func Builtins() *Registry {
 	r := NewRegistry()
-	for _, rn := range []*Runner{compareRunner(), figureRunner(), tableRunner()} {
+	for _, rn := range []*Runner{compareRunner(), harnessRunner("figure"), harnessRunner("table")} {
 		if err := r.Register(rn); err != nil {
 			panic(err) // unreachable: names are distinct literals
 		}
@@ -101,207 +125,266 @@ func Builtins() *Registry {
 	return r
 }
 
-// compareRunner reproduces jumanji-sim: one design comparison over one
-// workload, rendered as the same metrics table.
+// orDefault sets *v to def when it is zero.
+func orDefault[T comparable](v *T, def T) {
+	var zero T
+	if *v == zero {
+		*v = def
+	}
+}
+
+// runLength fills the protocol scale's defaults; Warmup takes its default
+// only with Epochs.
+func runLength(sp *Spec, epochs, warmup int, seed int64) {
+	if sp.Epochs == 0 {
+		sp.Epochs = epochs
+		orDefault(&sp.Warmup, warmup)
+	}
+	orDefault(&sp.Seed, seed)
+}
+
+// compareRunner is jumanji-sim: one design comparison over one workload.
 func compareRunner() *Runner {
 	return &Runner{
 		Name:        "compare",
-		Description: "compare LLC designs over one workload (jumanji-sim's table)",
+		Description: "compare LLC designs over one workload (jumanji-sim's output)",
 		Validate: func(sp *Spec) error {
-			if sp.Design == "" {
-				sp.Design = "jumanji"
-			}
-			if sp.LC == "" {
-				sp.LC = "xapian"
-			}
-			if sp.Load == "" {
-				sp.Load = "high"
-			}
-			if sp.Load != "high" && sp.Load != "low" {
+			switch {
+			case sp.Fig != 0 || sp.Table != 0 || sp.Mixes != 0:
+				return fmt.Errorf("compare specs take no fig/table/mixes")
+			case sp.Load != "" && sp.Load != "high" && sp.Load != "low":
 				return fmt.Errorf("load %q: want high or low", sp.Load)
-			}
-			if sp.VMs == 0 {
-				sp.VMs = 4
-			}
-			if sp.VMs < 0 {
-				return fmt.Errorf("vms %d: want positive", sp.VMs)
+			case sp.Format != "" && sp.Format != "json":
+				return fmt.Errorf("format %q: compare output is text or json", sp.Format)
 			}
 			def := jumanji.DefaultOptions()
-			if sp.Epochs == 0 {
-				sp.Epochs = def.Epochs
+			sp.Design = strings.ToLower(strings.TrimSpace(sp.Design))
+			orDefault(&sp.Design, "jumanji")
+			orDefault(&sp.LC, "xapian")
+			orDefault(&sp.Load, "high")
+			orDefault(&sp.VMs, 4)
+			orDefault(&sp.Router, def.RouterDelay)
+			orDefault(&sp.Mesh, fmt.Sprintf("%dx%d", def.MeshW, def.MeshH))
+			runLength(sp, def.Epochs, def.Warmup, def.Seed)
+			if err := normDims(&sp.Mesh); err != nil {
+				return fmt.Errorf("mesh: %w", err)
 			}
-			if sp.Warmup == 0 {
-				sp.Warmup = def.Warmup
+			if err := normDims(&sp.Shard); err != nil {
+				return fmt.Errorf("shard: %w", err)
 			}
-			if sp.Seed == 0 {
-				sp.Seed = def.Seed
+			if _, err := compareDesigns(sp); err != nil {
+				return err
 			}
-			if sp.Epochs <= 0 || sp.Warmup < 0 || sp.Warmup >= sp.Epochs {
-				return fmt.Errorf("epochs=%d warmup=%d: want 0 <= warmup < epochs", sp.Epochs, sp.Warmup)
-			}
-			if !strings.EqualFold(sp.Design, "all") {
-				if _, err := jumanji.ParseDesign(sp.Design); err != nil {
-					return err
-				}
-			}
-			if sp.Fig != 0 || sp.Table != 0 || sp.Mixes != 0 {
-				return fmt.Errorf("compare specs take no fig/table/mixes")
-			}
-			return nil
+			// Building the workload runs jumanji's own option checks and the
+			// workload's: the LC app, the VM split, the fleet's fit.
+			_, err := compareWorkload(sp)(compareOptions(sp, Env{}))
+			return err
 		},
 		Run: func(ctx context.Context, sp *Spec, env Env) ([]byte, error) {
-			opts := jumanji.DefaultOptions()
-			opts.Epochs, opts.Warmup, opts.Seed = sp.Epochs, sp.Warmup, sp.Seed
-			opts.HighLoad = sp.Load != "low"
-			opts.Parallel = 1 // serial cells: deterministic journal record order
-			opts.Engine, opts.Chaos = env.Engine, env.Chaos
-			opts.Progress = env.Progress
-			opts.Ctx = ctx
-
-			var designs []jumanji.Design
-			if strings.EqualFold(sp.Design, "all") {
-				designs = jumanji.AllDesigns()
-			} else {
-				d, err := jumanji.ParseDesign(sp.Design)
-				if err != nil {
-					return nil, err
-				}
-				designs = []jumanji.Design{d}
+			designs, err := compareDesigns(sp)
+			if err != nil {
+				return nil, err
 			}
+			opts := compareOptions(sp, env)
+			opts.Ctx = ctx
 			results, err := jumanji.Compare(opts, compareWorkload(sp), designs...)
 			if err != nil {
 				return nil, err
 			}
 			var buf bytes.Buffer
-			fmt.Fprintf(&buf, "%-22s %14s %14s %14s %12s\n",
-				"design", "tail/deadline", "speedup", "vulnerability", "energy (mJ)")
-			for _, r := range results {
-				fmt.Fprintf(&buf, "%-22s %14.2f %14.3f %14.2f %12.2f\n",
-					r.Design, r.WorstNormTail, r.SpeedupVsStatic, r.Vulnerability, r.Energy.Total()/1e6)
+			if sp.Format == "json" {
+				err = writeCompareJSON(&buf, results, sp.Apps)
+			} else {
+				writeCompareText(&buf, results, sp.Apps)
 			}
-			return buf.Bytes(), nil
+			return buf.Bytes(), err
 		},
 		Repro: func(sp *Spec, label string, cell int) string {
-			return fmt.Sprintf("jumanji-sim -design %s -lc %s -load %s -epochs %d -warmup %d -seed %d -vms %d -keep-going -cell '%s:%d'",
-				strings.ToLower(sp.Design), sp.LC, sp.Load, sp.Epochs, sp.Warmup, sp.Seed, sp.VMs, label, cell)
+			args := fmt.Sprintf("jumanji-sim -design %s -lc %s -load %s -vms %d -router %d -mesh %s",
+				sp.Design, sp.LC, sp.Load, sp.VMs, sp.Router, sp.Mesh)
+			if sp.Shard != "" {
+				args += " -shard " + sp.Shard
+			}
+			if sp.Apps {
+				args += " -apps"
+			}
+			if sp.Format == "json" {
+				args += " -json"
+			}
+			return fmt.Sprintf("%s -epochs %d -warmup %d -seed %d -keep-going -cell '%s:%d'",
+				args, sp.Epochs, sp.Warmup, sp.Seed, label, cell)
 		},
 	}
 }
 
-// compareWorkload mirrors jumanji-sim's workload selection.
+// compareDesigns parses the spec's design, or "all".
+func compareDesigns(sp *Spec) ([]jumanji.Design, error) {
+	if sp.Design == "all" {
+		return jumanji.AllDesigns(), nil
+	}
+	d, err := jumanji.ParseDesign(sp.Design)
+	return []jumanji.Design{d}, err
+}
+
+// compareOptions maps a normalized compare spec onto the simulator's
+// options.
+func compareOptions(sp *Spec, env Env) jumanji.Options {
+	o := jumanji.DefaultOptions()
+	o.MeshW, o.MeshH, _ = parseDims(sp.Mesh)
+	o.ShardRegionW, o.ShardRegionH, _ = parseDims(sp.Shard)
+	o.RouterDelay = sp.Router
+	o.HighLoad = sp.Load != "low"
+	o.Epochs, o.Warmup, o.Seed = sp.Epochs, sp.Warmup, sp.Seed
+	o.Parallel = env.Parallel
+	o.Sinks = env.Sinks
+	o.Engine, o.Chaos, o.CheckInvariants = env.Engine, env.Chaos, env.Check
+	return o
+}
+
+// compareWorkload selects the compare spec's workload.
 func compareWorkload(sp *Spec) func(jumanji.Options) (jumanji.Workload, error) {
-	if strings.EqualFold(sp.LC, "datacenter") {
+	switch {
+	case strings.EqualFold(sp.LC, "datacenter"):
 		return jumanji.Datacenter(sp.Seed)
-	}
-	if sp.VMs != 4 {
+	case sp.VMs != 4:
 		return jumanji.Scaling(sp.VMs, sp.Seed)
-	}
-	if strings.EqualFold(sp.LC, "mixed") {
+	case strings.EqualFold(sp.LC, "mixed"):
 		return jumanji.MixedCaseStudy(sp.Seed)
 	}
 	return jumanji.CaseStudy(sp.LC, sp.Seed)
 }
 
-// harnessOptions maps a normalized figure/table spec onto the harness's
-// protocol scale.
+// writeCompareText renders the design table, then with apps one
+// per-application table per design.
+func writeCompareText(w io.Writer, results []*jumanji.Result, apps bool) {
+	fmt.Fprintf(w, "%-22s %14s %14s %14s %12s\n",
+		"design", "tail/deadline", "speedup", "vulnerability", "energy (mJ)")
+	for _, r := range results {
+		fmt.Fprintf(w, "%-22s %14.2f %14.3f %14.2f %12.2f\n",
+			r.Design, r.WorstNormTail, r.SpeedupVsStatic, r.Vulnerability, r.Energy.Total()/1e6)
+	}
+	if !apps {
+		return
+	}
+	for _, r := range results {
+		fmt.Fprintf(w, "\n--- %s ---\n", r.Design)
+		fmt.Fprintf(w, "%-16s %4s %6s %12s %10s %10s\n", "app", "vm", "type", "tail/ddl", "alloc MB", "hops")
+		for _, a := range r.Apps {
+			kind, tail := "batch", "-"
+			if a.LatencyCritical {
+				kind, tail = "lc", fmt.Sprintf("%.2f", a.NormTail)
+			}
+			fmt.Fprintf(w, "%-16s %4d %6s %12s %10.2f %10.2f\n",
+				a.Name, a.VM, kind, tail, a.AllocMB, a.MeanHops)
+		}
+	}
+}
+
+// writeCompareJSON renders the results as an indented JSON array, with
+// apps each design's per-application metrics.
+func writeCompareJSON(w io.Writer, results []*jumanji.Result, apps bool) error {
+	type jsonResult struct {
+		Design          string               `json:"design"`
+		TailVsDeadline  float64              `json:"tail_vs_deadline"`
+		SpeedupVsStatic float64              `json:"speedup_vs_static"`
+		Vulnerability   float64              `json:"vulnerability"`
+		EnergyNJ        float64              `json:"energy_nj"`
+		Apps            []jumanji.AppMetrics `json:"apps,omitempty"`
+	}
+	out := make([]jsonResult, len(results))
+	for i, r := range results {
+		out[i] = jsonResult{
+			Design:          r.Design.String(),
+			TailVsDeadline:  r.WorstNormTail,
+			SpeedupVsStatic: r.SpeedupVsStatic,
+			Vulnerability:   r.Vulnerability,
+			EnergyNJ:        r.Energy.Total(),
+		}
+		if apps {
+			out[i].Apps = r.Apps
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
+// harnessRunner is the "figure" or "table" runner: one paper figure or
+// table, cmd/figures' output.
+func harnessRunner(kind string) *Runner {
+	table := kind == "table"
+	flagName, nums := "fig", harness.Figures
+	num := func(sp *Spec) int { return sp.Fig }
+	if table {
+		flagName, nums = "table", harness.Tables
+		num = func(sp *Spec) int { return sp.Table }
+	}
+	return &Runner{
+		Name:        kind,
+		Description: "regenerate one paper " + kind + " (cmd/figures' output)",
+		Validate: func(sp *Spec) error {
+			switch {
+			case !slices.Contains(nums(), num(sp)):
+				return fmt.Errorf("no %s %d (%ss: %v)", kind, num(sp), kind, nums())
+			case sp.Fig != 0 && sp.Table != 0:
+				return fmt.Errorf("a spec takes one fig or table")
+			case sp.Design != "" || sp.LC != "" || sp.Load != "" || sp.VMs != 0 ||
+				sp.Router != 0 || sp.Shard != "" || sp.Apps:
+				return fmt.Errorf("%s specs take no design/lc/load/vms/router/shard/apps", kind)
+			case sp.Format != "" && (table || sp.Format != "csv"):
+				return fmt.Errorf("format %q: want csv (figures only) or none", sp.Format)
+			}
+			q := harness.QuickOptions()
+			orDefault(&sp.Mixes, q.Mixes)
+			orDefault(&sp.Mesh, "5x4")
+			runLength(sp, q.Epochs, q.Warmup, q.Seed)
+			if err := normDims(&sp.Mesh); err != nil {
+				return fmt.Errorf("mesh: %w", err)
+			}
+			return harnessOptions(sp, Env{}).Validate()
+		},
+		Run: func(_ context.Context, sp *Spec, env Env) ([]byte, error) {
+			render := harness.Render
+			switch {
+			case table:
+				render = harness.RenderTableN
+			case sp.Format == "csv":
+				render = harness.CSV
+			}
+			var buf bytes.Buffer
+			if err := render(&buf, num(sp), harnessOptions(sp, env)); err != nil {
+				return nil, err
+			}
+			return buf.Bytes(), nil
+		},
+		Repro: func(sp *Spec, label string, cell int) string {
+			args := fmt.Sprintf("figures -%s %d", flagName, num(sp))
+			if sp.Format == "csv" {
+				args += " -csv"
+			}
+			switch q, p := harness.QuickOptions(), harness.PaperOptions(); [3]int{sp.Mixes, sp.Epochs, sp.Warmup} {
+			case [3]int{q.Mixes, q.Epochs, q.Warmup}:
+			case [3]int{p.Mixes, p.Epochs, p.Warmup}:
+				args += " -paper"
+			default:
+				return "" // figures runs only the quick and paper scales
+			}
+			if sp.Mesh != "5x4" {
+				args += " -mesh " + sp.Mesh
+			}
+			return fmt.Sprintf("%s -seed %d -keep-going -cell '%s:%d'", args, sp.Seed, label, cell)
+		},
+	}
+}
+
+// harnessOptions maps a normalized figure or table spec onto the harness's
+// options.
 func harnessOptions(sp *Spec, env Env) harness.Options {
 	o := harness.Options{
 		Mixes: sp.Mixes, Epochs: sp.Epochs, Warmup: sp.Warmup, Seed: sp.Seed,
-		Parallel: 1, // serial cells: deterministic journal record order
-		Engine:   env.Engine,
-		Chaos:    env.Chaos,
+		Parallel: env.Parallel, Sinks: env.Sinks,
+		Engine: env.Engine, Chaos: env.Chaos, CheckInvariants: env.Check,
 	}
-	o.Progress = env.Progress
+	o.MeshW, o.MeshH, _ = parseDims(sp.Mesh)
 	return o
-}
-
-// validateScale fills QuickOptions defaults into a figure/table spec.
-func validateScale(sp *Spec) error {
-	q := harness.QuickOptions()
-	if sp.Mixes == 0 {
-		sp.Mixes = q.Mixes
-	}
-	if sp.Epochs == 0 {
-		sp.Epochs = q.Epochs
-	}
-	if sp.Warmup == 0 {
-		sp.Warmup = q.Warmup
-	}
-	if sp.Seed == 0 {
-		sp.Seed = q.Seed
-	}
-	if sp.Mixes <= 0 || sp.Epochs <= 0 || sp.Warmup < 0 || sp.Warmup >= sp.Epochs {
-		return fmt.Errorf("mixes=%d epochs=%d warmup=%d: want positive mixes and 0 <= warmup < epochs",
-			sp.Mixes, sp.Epochs, sp.Warmup)
-	}
-	if sp.Design != "" || sp.LC != "" || sp.Load != "" || sp.VMs != 0 {
-		return fmt.Errorf("figure/table specs take no design/lc/load/vms")
-	}
-	return nil
-}
-
-func figureRunner() *Runner {
-	return &Runner{
-		Name:        "figure",
-		Description: "regenerate one paper figure (cmd/figures' text rendering)",
-		Validate: func(sp *Spec) error {
-			ok := false
-			for _, f := range harness.Figures() {
-				if sp.Fig == f {
-					ok = true
-				}
-			}
-			if !ok {
-				return fmt.Errorf("no figure %d (figures: %v)", sp.Fig, harness.Figures())
-			}
-			if sp.Table != 0 {
-				return fmt.Errorf("figure specs take no table")
-			}
-			return validateScale(sp)
-		},
-		Run: func(ctx context.Context, sp *Spec, env Env) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := harness.Render(&buf, sp.Fig, harnessOptions(sp, env)); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-		Repro: func(sp *Spec, label string, cell int) string {
-			return fmt.Sprintf("figures -fig %d -seed %d -keep-going -cell '%s:%d'",
-				sp.Fig, sp.Seed, label, cell)
-		},
-	}
-}
-
-func tableRunner() *Runner {
-	return &Runner{
-		Name:        "table",
-		Description: "regenerate one paper table (cmd/figures' text rendering)",
-		Validate: func(sp *Spec) error {
-			ok := false
-			for _, t := range harness.Tables() {
-				if sp.Table == t {
-					ok = true
-				}
-			}
-			if !ok {
-				return fmt.Errorf("no table %d (tables: %v)", sp.Table, harness.Tables())
-			}
-			if sp.Fig != 0 {
-				return fmt.Errorf("table specs take no fig")
-			}
-			return validateScale(sp)
-		},
-		Run: func(ctx context.Context, sp *Spec, env Env) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := harness.RenderTableN(&buf, sp.Table, harnessOptions(sp, env)); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-		Repro: func(sp *Spec, label string, cell int) string {
-			return fmt.Sprintf("figures -table %d -seed %d -keep-going -cell '%s:%d'",
-				sp.Table, sp.Seed, label, cell)
-		},
-	}
 }

@@ -173,6 +173,11 @@ func TestMalformedSubmissions(t *testing.T) {
 		`{"type":"warp-drive"}`,
 		`{"type":"figure","fig":3}`,
 		`{"type":"compare","load":"sideways"}`,
+		`{"type":"compare","epoch":10}`, // a typo must not run the 60-epoch default
+		`{"type":"compare","lc":"foo"}`,
+		`{"type":"compare","vms":7}`,
+		`{"type":"compare","mesh":"400x400"}`,
+		`{"type":"compare"} {"type":"compare"}`,
 	} {
 		resp, err := http.Post(base+"/experiments", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -309,6 +314,17 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 	code, metrics := getBody(t, base+"/metrics")
 	if code != http.StatusOK || !strings.Contains(metrics, "serve_retried_total 2") {
 		t.Fatalf("metrics missing retries:\n%s", metrics)
+	}
+}
+
+// TestZeroRetriesRunsOnce: Retries 0 means no retries, not the flag's
+// default.
+func TestZeroRetriesRunsOnce(t *testing.T) {
+	_, base := startServer(t, func(c *Config) { c.Registry = flakyRegistry(t, 100) })
+	ack, _ := submit(t, base, &Spec{Type: "flaky", Seed: 9})
+	final := waitTerminal(t, base, ack.ID)
+	if final.State != StateDegraded || final.Attempts != 1 {
+		t.Fatalf("final: state %q attempts %d, want degraded after 1", final.State, final.Attempts)
 	}
 }
 

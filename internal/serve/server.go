@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -67,7 +68,7 @@ type Config struct {
 	MaxPerClient int // per-client queued+running bound (default 16)
 	MaxInFlight  int // concurrently running experiments (default 2)
 
-	Retries     int           // retry attempts after a degraded run (default 2)
+	Retries     int           // retry attempts after a degraded run (0 = none)
 	BackoffBase time.Duration // first retry delay (default 100ms)
 	BackoffCap  time.Duration // delay ceiling (default 2s)
 
@@ -94,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 2
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
 	}
 	if c.BackoffBase == 0 {
 		c.BackoffBase = 100 * time.Millisecond
@@ -177,12 +175,7 @@ func (s *Server) replayState() error {
 		return err
 	}
 	for _, doc := range docs {
-		rn, ok := s.cfg.Registry.Lookup(doc.Spec.Type)
-		if !ok {
-			return fmt.Errorf("serve: recovering %s: unknown experiment type %q (registry has %v)",
-				doc.ID, doc.Spec.Type, s.cfg.Registry.Types())
-		}
-		if err := rn.Validate(doc.Spec); err != nil {
+		if _, err := s.cfg.Registry.Normalize(doc.Spec); err != nil {
 			return fmt.Errorf("serve: recovering %s: %w", doc.ID, err)
 		}
 		fp := doc.Spec.Fingerprint()
@@ -285,12 +278,7 @@ func (e *admitErr) Error() string { return e.err.Error() }
 // acked (a SIGKILL between ack and fsync would otherwise lose the
 // submission).
 func (s *Server) admit(sp *Spec) (*admission, *admitErr) {
-	rn, ok := s.cfg.Registry.Lookup(sp.Type)
-	if !ok {
-		return nil, &admitErr{status: http.StatusBadRequest,
-			err: fmt.Errorf("unknown experiment type %q (registry has %v)", sp.Type, s.cfg.Registry.Types())}
-	}
-	if err := rn.Validate(sp); err != nil {
+	if _, err := s.cfg.Registry.Normalize(sp); err != nil {
 		return nil, &admitErr{status: http.StatusBadRequest, err: err}
 	}
 	fp := sp.Fingerprint()
@@ -334,6 +322,22 @@ func (s *Server) admit(sp *Spec) (*admission, *admitErr) {
 	return &admission{exp: e}, nil
 }
 
+// decodeSpec decodes one submitted spec strictly: an unknown key (a typo
+// such as "epoch") or trailing data is an error, never a silently defaulted
+// field.
+func decodeSpec(body []byte) (Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var sp Spec
+	if err := dec.Decode(&sp); err != nil {
+		return sp, err
+	}
+	if dec.More() {
+		return sp, errors.New("trailing data after the spec")
+	}
+	return sp, nil
+}
+
 // submitBody is the JSON acknowledgment for a submission.
 type submitBody struct {
 	ID          string `json:"id"`
@@ -360,8 +364,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		body = append(body, []byte(`{{"garbage`)...)
 	}
-	var sp Spec
-	if err := json.Unmarshal(body, &sp); err != nil {
+	sp, err := decodeSpec(body)
+	if err != nil {
 		s.mu.Lock()
 		s.counter("serve.rejected")
 		s.mu.Unlock()

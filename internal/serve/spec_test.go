@@ -2,8 +2,13 @@ package serve
 
 import (
 	"context"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"jumanji/internal/obs"
+	"jumanji/internal/obs/tsdb"
 )
 
 // TestFingerprintExcludesClient: who submitted must not change the
@@ -36,18 +41,101 @@ func TestNormalizeThenFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := &Spec{Type: "compare", Design: "jumanji", LC: "xapian", Load: "high", VMs: 4,
-		Epochs: short.Epochs, Warmup: short.Warmup, Seed: 1}
+		Router: 2, Mesh: "5x4", Epochs: short.Epochs, Warmup: short.Warmup, Seed: 1}
 	if err := rn.Validate(full); err != nil {
 		t.Fatal(err)
 	}
 	if short.Fingerprint() != full.Fingerprint() {
 		t.Fatalf("defaults drifted:\n short: %s\n full:  %s", short.Fingerprint(), full.Fingerprint())
 	}
+	// Spellings of one machine normalize together too.
+	spelled := &Spec{Type: "compare", Design: " Jumanji", Mesh: "05x4", Shard: "4x04"}
+	sharded := &Spec{Type: "compare", Shard: "4x4"}
+	for _, sp := range []*Spec{spelled, sharded} {
+		if err := rn.Validate(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if spelled.Fingerprint() != sharded.Fingerprint() {
+		t.Fatalf("spellings drifted:\n spelled: %s\n sharded: %s", spelled.Fingerprint(), sharded.Fingerprint())
+	}
+	// Warmup takes its default only with the run length: a spec that sets
+	// its epochs sets its warmup, and 0 is none.
+	sized := &Spec{Type: "compare", Epochs: 30}
+	if err := rn.Validate(sized); err != nil || sized.Warmup != 0 {
+		t.Fatalf("epochs without warmup: err %v, warmup %d, want 0", err, sized.Warmup)
+	}
 	// And changing anything result-affecting changes it.
 	seeded := *full
 	seeded.Seed = 2
 	if seeded.Fingerprint() == full.Fingerprint() {
 		t.Fatal("seed did not change the fingerprint")
+	}
+	// A figure's defaults are cmd/figures' quick protocol on the paper's
+	// machine.
+	fig, ok := reg.Lookup("figure")
+	if !ok {
+		t.Fatal("no figure runner")
+	}
+	fshort, ffull := &Spec{Type: "figure", Fig: 12}, &Spec{Type: "figure", Fig: 12, Mixes: 6, Mesh: "5x4", Epochs: 40, Warmup: 15, Seed: 1}
+	for _, sp := range []*Spec{fshort, ffull} {
+		if err := fig.Validate(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fshort.Fingerprint() != ffull.Fingerprint() {
+		t.Fatalf("figure defaults drifted:\n short: %s\n full:  %s", fshort.Fingerprint(), ffull.Fingerprint())
+	}
+}
+
+// TestFingerprintCoversEveryField: every Spec field but Client changes the
+// result bytes, so setting any one of them to a non-default value must
+// change the fingerprint. A field added to Spec and left out of the
+// encoding fails here.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	base := Spec{}
+	v := reflect.ValueOf(&base).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if name == "Client" {
+			continue
+		}
+		sp := base
+		f := reflect.ValueOf(&sp).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("Spec.%s: kind %s not covered by this test", name, f.Kind())
+		}
+		if sp.Fingerprint() == base.Fingerprint() {
+			t.Errorf("Spec.%s does not change the fingerprint %s", name, base.Fingerprint())
+		}
+	}
+}
+
+// TestFingerprintCoversSinks: a journal header names the deterministic
+// sinks whose state it records, so a resume under another sink set is
+// refused.
+func TestFingerprintCoversSinks(t *testing.T) {
+	sp := Spec{Type: "figure", Fig: 12}
+	seen := map[string]bool{fingerprint(obs.Sinks{}, sp): true}
+	for _, s := range []obs.Sinks{
+		{Metrics: obs.NewRegistry()}, {Events: obs.NewEventLog(io.Discard)},
+		{Trace: obs.NewTrace(io.Discard)}, {TS: tsdb.New(1)}, {Prov: obs.NewEventLog(io.Discard)},
+	} {
+		fp := fingerprint(s, sp)
+		if seen[fp] {
+			t.Errorf("sink set %+v does not change the fingerprint %s", s, fp)
+		}
+		seen[fp] = true
+	}
+	if got := fingerprint(obs.Sinks{}, sp); got != sp.Fingerprint() {
+		t.Errorf("no sinks: %s, want the spec's own fingerprint %s", got, sp.Fingerprint())
 	}
 }
 
@@ -64,6 +152,24 @@ func TestValidateRejects(t *testing.T) {
 		{"figure", &Spec{Type: "figure", Fig: 3}, "no figure 3"},
 		{"figure", &Spec{Type: "figure", Fig: 12, Warmup: 50, Epochs: 10}, "warmup"},
 		{"table", &Spec{Type: "table", Table: 9}, "no table 9"},
+		// Each of these used to be admitted and then fail in a worker, or
+		// run something other than what was asked.
+		{"compare", &Spec{Type: "compare", LC: "foo"}, "unknown latency-critical app"},
+		{"compare", &Spec{Type: "compare", VMs: 7}, "VM count 7"},
+		{"compare", &Spec{Type: "compare", Mesh: "5x4junk"}, "invalid dimensions"},
+		{"compare", &Spec{Type: "compare", Mesh: "x4"}, "invalid dimensions"},
+		{"compare", &Spec{Type: "compare", Mesh: "64x64"}, "sides 1 to 32"},
+		{"compare", &Spec{Type: "compare", Mesh: "4x4", LC: "datacenter"}, "exceed"},
+		{"compare", &Spec{Type: "compare", Shard: "4x33"}, "sides 1 to 32"},
+		{"compare", &Spec{Type: "compare", Router: -1}, "router"},
+		{"compare", &Spec{Type: "compare", Epochs: 5, Warmup: 5}, "epochs/warmup"},
+		{"compare", &Spec{Type: "compare", Format: "csv"}, "format"},
+		{"figure", &Spec{Type: "figure", Fig: 12, Mesh: "33x1"}, "sides 1 to 32"},
+		{"figure", &Spec{Type: "figure", Fig: 12, Mesh: "2x2"}, "below the 20 tiles"},
+		{"figure", &Spec{Type: "figure", Fig: 12, Format: "json"}, "format"},
+		{"figure", &Spec{Type: "figure", Fig: 12, Router: 3}, "no design/lc/load/vms/router/shard/apps"},
+		{"table", &Spec{Type: "table", Table: 1, Format: "csv"}, "format"},
+		{"table", &Spec{Type: "table", Table: 1, Fig: 12}, "one fig or table"},
 	}
 	for _, c := range cases {
 		rn, ok := reg.Lookup(c.name)

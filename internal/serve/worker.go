@@ -10,6 +10,7 @@ import (
 
 	"jumanji/internal/chaos"
 	"jumanji/internal/journal"
+	"jumanji/internal/obs"
 	"jumanji/internal/obs/statusz"
 	"jumanji/internal/sweep"
 )
@@ -98,7 +99,7 @@ func (s *Server) runExperiment(e *Experiment) {
 		case rerr != nil:
 			// Retries exhausted: a degraded result with the failed cells'
 			// coordinates and repro commands is still a durable answer.
-			s.retire(e, StateDegraded, out, failedDocs(rn, e.Spec, rerr), rerr.Error())
+			s.retire(e, StateDegraded, out, failedDocs(rerr), rerr.Error())
 			return
 		case retryable:
 			s.retire(e, StateFailed, nil, nil, errString(nil, err))
@@ -144,12 +145,7 @@ func (s *Server) runOnce(rn *Runner, e *Experiment, attempt int) (out []byte, re
 		Journal: w, Resume: resume, KeepGoing: true, Stop: s.stop,
 		Soft: s.cfg.SoftTimeout, Hard: s.cfg.HardTimeout,
 		Chaos: s.cfg.Chaos, Log: s.cfg.Log,
-		Repro: func(label string, cell int) string {
-			if rn.Repro == nil {
-				return ""
-			}
-			return rn.Repro(e.Spec, label, cell)
-		},
+		Repro: func(label string, cell int) string { return rn.repro(e.Spec, label, cell) },
 	}
 	func() {
 		defer func() {
@@ -162,8 +158,9 @@ func (s *Server) runOnce(rn *Runner, e *Experiment, attempt int) (out []byte, re
 		if s.cfg.Chaos.Fires(chaos.ServePanicCell, int64(e.Seq), int64(attempt)) {
 			panic(fmt.Sprintf("chaos: injected panic in serve worker (%s attempt %d)", e.ID, attempt+1))
 		}
+		// Serial cells: deterministic journal record order.
 		out, err = rn.Run(context.Background(), e.Spec, Env{
-			Engine: eng, Chaos: s.cfg.Chaos, Progress: e.progress,
+			Engine: eng, Chaos: s.cfg.Chaos, Parallel: 1, Sinks: obs.Sinks{Progress: e.progress},
 		})
 	}()
 	if cerr := w.Close(); cerr != nil && err == nil {
@@ -242,17 +239,13 @@ func (s *Server) streamProgress(e *Experiment) func() {
 
 // failedDocs renders a degraded report's failed cells with their repro
 // commands.
-func failedDocs(rn *Runner, sp *Spec, rerr *sweep.RunError) []FailedCellDoc {
+func failedDocs(rerr *sweep.RunError) []FailedCellDoc {
 	out := make([]FailedCellDoc, 0, len(rerr.Report.Failed))
 	for _, f := range rerr.Report.Failed {
-		doc := FailedCellDoc{
+		out = append(out, FailedCellDoc{
 			Label: f.Label, Cell: f.Cell, Seed: f.Seed,
 			Panic: fmt.Sprint(f.Value), Repro: f.Repro,
-		}
-		if doc.Repro == "" && rn.Repro != nil {
-			doc.Repro = rn.Repro(sp, f.Label, f.Cell)
-		}
-		out = append(out, doc)
+		})
 	}
 	return out
 }
