@@ -105,7 +105,7 @@ func (VMPartPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	// batch miss curve; quantum is one way across all banks. Scratch reuse
 	// keeps the per-epoch cost flat: app lists and the combined curves come
 	// from a pooled placeScratch (the curves from its arena).
-	s := getPlaceScratch(in.Machine)
+	s := getPlaceScratch(in)
 	defer putPlaceScratch(s)
 	s.vms = in.AppendVMs(s.vms[:0])
 	reqs := s.reqs[:0]

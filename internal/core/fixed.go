@@ -34,7 +34,7 @@ func (p FixedPlacer) Place(in *Input) *Placement {
 func (p FixedPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	pl.Reset(in.Machine)
-	s := getPlaceScratch(in.Machine)
+	s := getPlaceScratch(in)
 	defer putPlaceScratch(s)
 	balance := s.balance
 	usedBytes := 0.0

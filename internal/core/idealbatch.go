@@ -48,7 +48,7 @@ func (p IdealBatchPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 
 func (IdealBatchPlacer) place(in *Input, pl *Placement) bool {
 	pl.Reset(in.Machine)
-	s := getPlaceScratch(in.Machine)
+	s := getPlaceScratch(in)
 	defer putPlaceScratch(s)
 	balance := s.balance
 

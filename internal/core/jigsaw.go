@@ -51,7 +51,7 @@ func (RawCurveJigsawPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 func jigsawPlace(in *Input, hull bool, pl *Placement) *Placement {
 	mustValidate(in)
 	pl.Reset(in.Machine)
-	s := getPlaceScratch(in.Machine)
+	s := getPlaceScratch(in)
 	defer putPlaceScratch(s)
 	balance := s.balance
 
@@ -64,7 +64,7 @@ func jigsawPlace(in *Input, hull bool, pl *Placement) *Placement {
 		apps = append(apps, AppID(i))
 		var curve mrc.Curve
 		if hull {
-			curve = missRateHullArena(s, in, AppID(i))
+			curve = s.appHull(in, AppID(i))
 		} else {
 			spec := in.Apps[i]
 			curve = spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)

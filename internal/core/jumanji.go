@@ -83,7 +83,7 @@ func shrinkLatSizes(in Input, factor float64) Input {
 }
 
 func (p JumanjiPlacer) place(in *Input, pl *Placement) error {
-	s := getPlaceScratch(in.Machine)
+	s := getPlaceScratch(in)
 	defer putPlaceScratch(s)
 	s.vms = in.AppendVMs(s.vms[:0])
 	vms := s.vms
@@ -197,7 +197,7 @@ func (p JumanjiPlacer) assignBanks(in *Input, pl *Placement, latRes latCritResul
 		batch := s.batch
 		curve := flatCurve(in, &s.arena)
 		if len(batch) > 0 {
-			curve = s.arena.ConvexHull(combinedBatchCurveArena(s, in, batch))
+			curve = s.arena.ConvexHull(combinedBatchHullArena(s, in, batch))
 		}
 		r := lookahead.BankGranularRequest(curve, 1, latOf[vm], m.BankBytes)
 		// A VM whose latency-critical data lands exactly on a bank boundary
@@ -313,7 +313,7 @@ func (p JumanjiPlacer) placeBatchWithin(in *Input, pl *Placement, s *placeScratc
 	reqs := s.reqs[:0]
 	for _, app := range batch {
 		reqs = append(reqs, lookahead.Request{
-			Curve: missRateHullArena(s, in, app),
+			Curve: s.appHull(in, app),
 			Min:   wayBytes,
 			Step:  wayBytes,
 			Max:   in.Machine.TotalBytes(),

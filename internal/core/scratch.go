@@ -13,21 +13,24 @@ import (
 
 // placeScratch pools the temporaries of one placement computation: bank
 // balances and ownerships, per-VM app lists, lookahead requests and results,
-// and an mrc.Arena backing every curve built during the call. Placers with
-// value receivers cannot carry state across epochs, so PlaceInto bodies
-// borrow a placeScratch from placeScratchPool instead; every buffer reaches
-// its high-water mark during the first placement and is reused afterwards
-// (the property TestAllocGuardPlacement pins).
+// each app's miss-rate hull, and an mrc.Arena backing every curve built
+// during the call. Placers with value receivers cannot carry state across
+// epochs, so PlaceInto bodies borrow a placeScratch from placeScratchPool
+// instead; every buffer reaches its high-water mark during the first
+// placement and is reused afterwards (the property TestAllocGuardPlace pins).
 //
 // All slice fields follow the Append protocol (resliced to [:0] at each use
 // site); the maps are retained and cleared. The arena is Reset once per
 // borrow, so arena-backed curves never outlive the placement that made them.
+// A borrow serves one placement of one Input: the hull slots are emptied at
+// borrow time and then filled from that Input by appHull.
 type placeScratch struct {
 	arena   mrc.Arena
 	balance []float64
-	claims  []VMID // per-bank latency-critical owner, -1 = unclaimed
-	owner   []VMID // per-bank VM owner, -1 = free
-	allowed []bool // per-bank membership mask for greedyFill
+	claims  []VMID      // per-bank latency-critical owner, -1 = unclaimed
+	owner   []VMID      // per-bank VM owner, -1 = free
+	allowed []bool      // per-bank membership mask for greedyFill
+	hulls   []mrc.Curve // per-app miss-rate hull, nil M = not built yet
 	vms     []VMID
 	lat     []AppID // AppendAppsOf scratch
 	batch   []AppID
@@ -47,12 +50,14 @@ var placeScratchPool = sync.Pool{New: func() any {
 	}
 }}
 
-// getPlaceScratch borrows a scratch sized for m's bank count, with the
-// per-bank slices reset (balance full, claims/owner -1, allowed false) and
-// the arena empty.
-func getPlaceScratch(m Machine) *placeScratch {
+// getPlaceScratch borrows a scratch for one placement of in: sized for its
+// machine's bank count, with the per-bank slices reset (balance full,
+// claims/owner -1, allowed false), one empty hull slot per app and the arena
+// empty.
+func getPlaceScratch(in *Input) *placeScratch {
 	s := placeScratchPool.Get().(*placeScratch)
 	s.arena.Reset()
+	m := in.Machine
 	banks := m.Banks()
 	if cap(s.balance) < banks {
 		s.balance = make([]float64, banks) // alloc: ok (pool warmup)
@@ -69,6 +74,11 @@ func getPlaceScratch(m Machine) *placeScratch {
 		s.owner[i] = -1
 		s.allowed[i] = false
 	}
+	if cap(s.hulls) < len(in.Apps) {
+		s.hulls = make([]mrc.Curve, len(in.Apps)) // alloc: ok (pool warmup)
+	}
+	s.hulls = s.hulls[:len(in.Apps)]
+	clear(s.hulls)
 	return s
 }
 
@@ -77,7 +87,9 @@ func putPlaceScratch(s *placeScratch) {
 }
 
 // combinedBatchCurveArena is combinedBatchCurve with every intermediate and
-// the result backed by s.arena (valid until the scratch is returned).
+// the result backed by s.arena (valid until the scratch is returned). Its
+// hulls live in mrc's pooled single-hull scratch, for placers that read each
+// app's hull only here.
 func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
 	curves := s.curves[:0]
 	for _, app := range batch {
@@ -88,10 +100,28 @@ func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curv
 	return s.arena.Combine(curves...)
 }
 
-// missRateHullArena builds app's absolute miss-rate convex hull
-// (MissRateCurve().ConvexHull()) in s.arena.
-func missRateHullArena(s *placeScratch, in *Input, app AppID) mrc.Curve {
+// combinedBatchHullArena is combinedBatchCurveArena over the apps' kept
+// hulls (appHull), for placers that read those hulls again.
+func combinedBatchHullArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
+	curves := s.curves[:0]
+	for _, app := range batch {
+		curves = append(curves, s.appHull(in, app))
+	}
+	s.curves = curves
+	return s.arena.CombineHulls(curves...)
+}
+
+// appHull returns app's absolute miss-rate convex hull
+// (MissRateCurve().ConvexHull()) for the placement's Input, built in s.arena
+// on first use and kept in its slot for the rest of the borrow, so every
+// stage of the placement reads the same hull.
+func (s *placeScratch) appHull(in *Input, app AppID) mrc.Curve {
+	if h := s.hulls[app]; h.M != nil {
+		return h
+	}
 	spec := in.Apps[app]
 	mr := spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)
-	return s.arena.ConvexHull(mr)
+	h := s.arena.ConvexHull(mr)
+	s.hulls[app] = h
+	return h
 }

@@ -10,8 +10,9 @@ package mrc
 // Lifetime rules:
 //
 //   - Every curve produced through an arena (Alloc, Clone, Scale, ConvexHull,
-//     Combine) is valid only until the next Reset of that arena. Callers that
-//     need a curve to survive Reset must deep-copy it first (Curve.Clone).
+//     Combine, CombineHulls) is valid only until the next Reset of that
+//     arena. Callers that need a curve to survive Reset must deep-copy it
+//     first (Curve.Clone).
 //   - Reset recycles all slabs without zeroing; the next Alloc hands out the
 //     same memory. An arena therefore reaches a high-water mark once and
 //     allocates nothing afterwards (the property TestAllocGuardArena pins).
@@ -91,12 +92,10 @@ func (a *Arena) ConvexHull(c Curve) Curve {
 // by the arena. Input hulls live in pooled scratch, not the arena, so the
 // arena's footprint is just the result curve.
 func (a *Arena) Combine(curves ...Curve) Curve {
-	if len(curves) == 0 {
-		panic("mrc: Combine of no curves")
-	}
-	totalSteps := 0
-	for _, c := range curves {
-		totalSteps += len(c.M) - 1
-	}
-	return CombineInto(a.Alloc(totalSteps+1), curves...)
+	return CombineInto(a.Alloc(combinedLen(curves)), curves...)
+}
+
+// CombineHulls is CombineHullsInto with the result backed by the arena.
+func (a *Arena) CombineHulls(hulls ...Curve) Curve {
+	return CombineHullsInto(a.Alloc(combinedLen(hulls)), hulls...)
 }

@@ -71,9 +71,10 @@ func combineCurvesFromBytes(n uint8, data []byte) (curves []Curve, finite bool) 
 }
 
 // FuzzCombine checks Combine bitwise against the global-sort reference
-// (combineGlobalSort) on 1-8 curves, and the Whirlpool combination
-// invariants on finite input: monotone, convex, correct length and
-// endpoints.
+// (combineGlobalSort) on 1-8 curves, CombineHullsInto fed the curves'
+// ConvexHullInto outputs bitwise against CombineInto on the raw curves, and
+// the Whirlpool combination invariants on finite input: monotone, convex,
+// correct length and endpoints.
 func FuzzCombine(f *testing.F) {
 	f.Add(uint8(1), []byte{100, 50, 20, 80, 10})
 	f.Add(uint8(1), []byte{0, 254, 0})
@@ -85,12 +86,23 @@ func FuzzCombine(f *testing.F) {
 	f.Add(uint8(1), []byte{50, 10, 255, 40, 20, 10})
 	f.Add(uint8(3), []byte{90, 40, 10, 255, 60, 20, 5, 0, 70, 255, 255, 1, 80, 30})
 	f.Add(uint8(7), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 100, 90, 80, 70, 60})
+	// Run repair beside a NaN curve (the fallback wins), and repair in
+	// several runs at once, for both entries.
+	f.Add(uint8(1), []byte{157, 112, 64, 116, 175, 255, 40, 20, 10, 5})
+	f.Add(uint8(4), []byte{157, 112, 64, 116, 175, 88, 26, 139, 149, 37, 226, 15, 218, 157, 112, 64, 116, 175, 119, 84, 48, 3, 143, 157, 112})
 	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
 		curves, finite := combineCurvesFromBytes(n, data)
 		comb := Combine(curves...)
 		want := combineGlobalSort(curves...)
 		if !bitsEqual(comb.M, want.M) {
 			t.Fatalf("Combine differs from the global-sort reference:\n got %v\nwant %v\n  in %v", comb.M, want.M, curves)
+		}
+		hulls := make([]Curve, len(curves))
+		for i, c := range curves {
+			hulls[i] = c.ConvexHullInto(make([]float64, len(c.M)))
+		}
+		if got := CombineHullsInto(make([]float64, combinedLen(hulls)), hulls...); !bitsEqual(got.M, comb.M) {
+			t.Fatalf("CombineHullsInto on the hulls differs from CombineInto on the curves:\n got %v\nwant %v\n  in %v", got.M, comb.M, curves)
 		}
 		if !finite {
 			return

@@ -119,24 +119,40 @@ func resampleHull(dst []float64, hull []pt) {
 }
 
 // CombineInto is Combine with the result written into dst, which must have
-// exactly (sum of input steps)+1 elements. Input hulls, the gains and the
-// merge heap live in pooled scratch, so a warmed call allocates nothing. dst
-// must not share backing with any input curve.
+// exactly (sum of input steps)+1 elements. It hulls each curve in turn into
+// pooled scratch and hands the hull to the merge CombineHullsInto runs, so
+// the two entries give the same bits for the same hulls. A warmed call
+// allocates nothing. dst must not share backing with any input curve.
+func CombineInto(dst []float64, curves ...Curve) Curve {
+	return combineInto(dst, curves, true)
+}
+
+// CombineHullsInto is CombineInto for curves that are already convex hulls
+// (ConvexHullInto outputs), skipping the hull pass: callers that keep each
+// app's hull for other uses combine those instead of hulling every curve
+// twice. Fed c.ConvexHullInto(...) for each curve c, it returns CombineInto's
+// result bit for bit. dst must have exactly (sum of input steps)+1 elements
+// and must not share backing with any input.
 //
 // The combined curve spends its capacity steps on the largest remaining
 // per-step gains of all hulls, so it needs every hull's gains in one
 // descending order. Convexity makes each hull's own gains a descending run,
-// and CombineInto k-way merges those runs rather than sorting all the gains.
+// and the merge k-way merges those runs rather than sorting all the gains.
 // Resampling a hull onto the grid can leave a gain an ulp above its
 // predecessor, so each run is checked and repaired in place before the
 // merge. Any descending order of the same gains yields the same curve bit
 // for bit: equal gains have equal bits except ±0, and subtracting either
 // from the running miss rate, which is never −0, gives the same result. So
 // the merge reproduces the global sort exactly. Gains containing NaN (from
-// NaN or infinite input points) have no descending order. For them
-// CombineInto keeps the global sort: sort.Float64s over all gains, NaNs
-// first, consumed back to front.
-func CombineInto(dst []float64, curves ...Curve) Curve {
+// NaN or infinite input points) have no descending order. For them the
+// merge keeps the global sort: sort.Float64s over all gains, NaNs first,
+// consumed back to front.
+func CombineHullsInto(dst []float64, hulls ...Curve) Curve {
+	return combineInto(dst, hulls, false)
+}
+
+// combineInto is CombineInto when hull is set, else CombineHullsInto.
+func combineInto(dst []float64, curves []Curve, hull bool) Curve {
 	if len(curves) == 0 {
 		panic("mrc: Combine of no curves")
 	}
@@ -158,11 +174,13 @@ func CombineInto(dst []float64, curves ...Curve) Curve {
 	gains, heads := s.gains[:0], s.heads[:0]
 	nan := false
 	base := 0.0
-	for _, c := range curves {
-		if cap(s.hull) < len(c.M) {
-			s.hull = make([]float64, len(c.M)) // alloc: ok (scratch growth, amortized to zero)
+	for _, h := range curves {
+		if hull {
+			if cap(s.hull) < len(h.M) {
+				s.hull = make([]float64, len(h.M)) // alloc: ok (scratch growth, amortized to zero)
+			}
+			h = h.ConvexHullInto(s.hull[:len(h.M)])
 		}
-		h := c.ConvexHullInto(s.hull[:len(c.M)])
 		base += h.M[0]
 		start := len(gains)
 		for i := 1; i < len(h.M); i++ {

@@ -27,13 +27,13 @@ import (
 // struct copies on assignment but M is shared backing. Methods returning a
 // Curve therefore come in two flavors. Clone, Scale, Monotone, ConvexHull
 // and Combine always return freshly allocated backing that aliases nothing.
-// The *Into variants (CloneInto, ScaleInto, ConvexHullInto, CombineInto)
-// write into caller-provided backing — typically from an Arena — and the
-// returned curve aliases that backing. ConvexHullInto additionally guarantees
-// its result never aliases its input: passing the receiver's own M as dst is
-// detected and falls back to a fresh allocation (see
-// TestConvexHullIntoNoAlias), so the input curve is never clobbered by the
-// in-place monotone/resample passes.
+// The *Into variants (CloneInto, ScaleInto, ConvexHullInto, CombineInto,
+// CombineHullsInto) write into caller-provided backing — typically from an
+// Arena — and the returned curve aliases that backing. ConvexHullInto
+// additionally guarantees its result never aliases its input: passing the
+// receiver's own M as dst is detected and falls back to a fresh allocation
+// (see TestConvexHullIntoNoAlias), so the input curve is never clobbered by
+// the in-place monotone/resample passes.
 type Curve struct {
 	Unit float64   // bytes of capacity per step
 	M    []float64 // miss rate at each multiple of Unit
@@ -199,17 +199,23 @@ func Add(a, b Curve) Curve {
 // The greedy construction spends each capacity step on the largest
 // remaining per-step gain of any hull. Each hull's gains already form a
 // descending run, so Combine merges the runs instead of sorting every gain
-// (see CombineInto); the result is bitwise what a global sort gives. Gains
-// containing NaN fall back to that global sort.
+// (see CombineHullsInto); the result is bitwise what a global sort gives.
+// Gains containing NaN fall back to that global sort.
 func Combine(curves ...Curve) Curve {
+	return CombineInto(make([]float64, combinedLen(curves)), curves...)
+}
+
+// combinedLen is the point count of the combination of curves: one more
+// than the sum of their steps.
+func combinedLen(curves []Curve) int {
 	if len(curves) == 0 {
 		panic("mrc: Combine of no curves")
 	}
-	totalSteps := 0
+	n := 1
 	for _, c := range curves {
-		totalSteps += len(c.M) - 1
+		n += len(c.M) - 1
 	}
-	return CombineInto(make([]float64, totalSteps+1), curves...)
+	return n
 }
 
 func min(a, b int) int {

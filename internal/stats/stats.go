@@ -7,24 +7,51 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It copies xs, so the input is not
-// reordered. Percentile panics if xs is empty or p is out of range, since a
-// percentile of nothing is a programming error in the callers of this package.
+// reordered. Percentile panics if xs is empty or p is out of range (or NaN),
+// since a percentile of nothing is a programming error in the callers of this
+// package.
+//
+// The result is bitwise what sorting a copy and interpolating gives, but
+// Percentile selects its one or two order statistics in linear expected
+// time instead of sorting. A selection fixes the value at a rank, not which
+// of several equal values lands there; that is the same bits for every
+// value except ±0, which compare equal, and NaN, which compares unequal to
+// everything. Inputs holding either keep the sort (sort.Float64s), so even
+// the sign of a zero result matches it.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: Percentile of empty slice")
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		panic(fmt.Sprintf("stats: percentile %v out of range [0,100]", p))
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	if len(xs) == 1 {
+		return xs[0]
+	}
+	work := make([]float64, len(xs))
+	sortable := false
+	for i, x := range xs {
+		work[i] = x
+		sortable = sortable || x != x || x == 0
+	}
+	if sortable {
+		sort.Float64s(work)
+		return percentileSorted(work, p)
+	}
+	lo, hi, frac := closestRanks(len(work), p)
+	selectRank(work, lo)
+	if lo == hi {
+		return work[lo]
+	}
+	// Selection left every larger order statistic after lo, so the next one
+	// is the smallest of them.
+	return lerp(work[lo], Min(work[lo+1:]), frac)
 }
 
 // percentileSorted computes the percentile of an already-sorted slice.
@@ -32,14 +59,81 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := closestRanks(len(sorted), p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return lerp(sorted[lo], sorted[hi], frac)
+}
+
+// closestRanks returns the two ranks around the p-th percentile of n sorted
+// values and the weight of the upper one.
+func closestRanks(n int, p float64) (lo, hi int, frac float64) {
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// lerp interpolates between the order statistics at two adjacent ranks.
+// Percentile and percentileSorted share it so both round alike.
+func lerp(lo, hi, frac float64) float64 {
+	return lo*(1-frac) + hi*frac
+}
+
+// selectRank reorders xs, which holds no NaN, so that xs[k] is the value a
+// sort would put there, no value before it is larger and none after it is
+// smaller. It is quickselect with a median-of-three pivot and a three-way
+// partition, so runs of equal values cost one pass. After about 2·log2(n)
+// rounds without finishing it sorts what is left, which bounds the worst
+// case at O(n log n).
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); hi > lo; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		pivot := medianOf3(xs[lo], xs[lo+(hi-lo)/2], xs[hi])
+		// Dijkstra's partition: xs[lo:lt] < pivot, xs[lt:i] == pivot,
+		// xs[gt+1:hi+1] > pivot, xs[i:gt+1] unread.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := xs[i]; {
+			case v < pivot:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > pivot:
+				xs[i], xs[gt] = xs[gt], v
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return // xs[lt:gt+1] all equal the pivot, k among them
+		}
+	}
+}
+
+// medianOf3 returns the median of three values, none of them NaN.
+func medianOf3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

@@ -111,6 +111,25 @@ func TestRunWithoutSinksUnchanged(t *testing.T) {
 	}
 }
 
+// TestRunRecordsSetupSpan pins the run's span layers: one system.setup span
+// for the run's set-up and one system.epoch_model span per epoch.
+func TestRunRecordsSetupSpan(t *testing.T) {
+	cfg, wl := caseStudy(t, 1, true)
+	cfg.Spans = obs.NewSpans()
+	const epochs = 12
+	Run(cfg, wl, core.JumanjiPlacer{}, epochs, 2)
+	counts := map[string]uint64{}
+	for _, s := range cfg.Spans.Snapshot() {
+		counts[s.Name] = s.Count
+	}
+	if got := counts["span.system.setup.seconds"]; got != 1 {
+		t.Errorf("system.setup spans = %d, want 1 (all: %v)", got, counts)
+	}
+	if got := counts["span.system.epoch_model.seconds"]; got != epochs {
+		t.Errorf("system.epoch_model spans = %d, want %d (all: %v)", got, epochs, counts)
+	}
+}
+
 // TestRunRecordsFlightRecorder pins the tentpole's sampling contract: with
 // Metrics and TS attached, every epoch lands one sample per active series —
 // counter deltas of exactly 1 for system.epochs, a moved-fraction point per

@@ -8,6 +8,7 @@ import (
 	"jumanji/internal/core"
 	"jumanji/internal/energy"
 	"jumanji/internal/feedback"
+	"jumanji/internal/mrc"
 	"jumanji/internal/obs"
 	"jumanji/internal/stats"
 	"jumanji/internal/tailbench"
@@ -104,12 +105,19 @@ func run(cfg Config, wl Workload, placer core.Placer, epochs, warmup int, fixedL
 		panic(fmt.Sprintf("system: bad epochs/warmup %d/%d", epochs, warmup))
 	}
 
+	// The set-up span covers the per-app models (curves, hulls, LC
+	// calibration) and the controllers built from them.
+	var setupSp obs.Span
+	if cfg.Spans != nil {
+		setupSp = cfg.Spans.Start("system.setup")
+	}
 	apps := buildStates(cfg, wl)
 	ctrls := buildControllers(cfg, apps)
 	var qctrls map[core.AppID]*feedback.QueueController
 	if cfg.QueueControl {
 		qctrls = buildQueueControllers(cfg, apps)
 	}
+	setupSp.Stop()
 	cycles := cfg.EpochCycles()
 
 	res := &RunResult{Design: placer.Name(), Apps: make([]AppResult, len(apps))}
@@ -366,23 +374,33 @@ func run(cfg Config, wl Workload, placer core.Placer, epochs, warmup int, fixedL
 	return res
 }
 
-// buildStates initializes per-app simulation state.
+// buildStates initializes per-app simulation state. Apps are copies of a
+// few fixed profiles, so within one run each distinct profile's miss curve
+// is sampled and hulled once and its hull shared, read-only, by every app
+// of that profile; and each distinct isolation run (see isolatedP95) runs
+// once. Profiles compare with ==, so two that differ only in a zero's sign
+// share a hull; MissRatio gives such profiles the same bits or rejects both.
 func buildStates(cfg Config, wl Workload) []*appState {
 	unit := cfg.Machine.WayBytes()
 	points := cfg.CurvePoints()
+	batchHulls := map[workload.Profile]mrc.Curve{}
+	lcHulls := map[tailbench.Profile]mrc.Curve{}
+	deadlines := map[[2]uint64]float64{}
+	batchHull := func(p workload.Profile) mrc.Curve { return p.MissRatio(unit, points).ConvexHull() }
+	lcHull := func(p tailbench.Profile) mrc.Curve { return p.MissRatio(unit, points).ConvexHull() }
 	apps := make([]*appState, len(wl.Apps))
 	for i, ac := range wl.Apps {
 		a := &appState{cfg: ac, id: core.AppID(i), name: ac.Name()}
 		if ac.Batch != nil {
 			p := ac.Batch
 			a.baseCPI, a.apki = p.BaseCPI, p.APKI
-			a.hull = p.MissRatio(unit, points).ConvexHull()
+			a.hull = memoize(batchHulls, *p, batchHull)
 			a.prefBRRIP = p.Shape == workload.Stream
 			for _, ph := range ac.BatchPhases {
 				a.phases = append(a.phases, phaseModel{
 					baseCPI:   ph.BaseCPI,
 					apki:      ph.APKI,
-					hull:      ph.MissRatio(unit, points).ConvexHull(),
+					hull:      memoize(batchHulls, *ph, batchHull),
 					prefBRRIP: ph.Shape == workload.Stream,
 				})
 			}
@@ -394,8 +412,8 @@ func buildStates(cfg Config, wl Workload) []*appState {
 		} else {
 			p := ac.LatCrit
 			a.baseCPI, a.apki = p.BaseCPI, p.APKI
-			a.hull = p.MissRatio(unit, points).ConvexHull()
-			a.queue = calibrateLC(cfg, a, p, ac, int64(i))
+			a.hull = memoize(lcHulls, *p, lcHull)
+			a.queue = calibrateLC(cfg, a, p, ac, int64(i), deadlines)
 			a.trueRate = a.queue.lambda * a.queue.workKI * a.apki
 			a.accessRate = a.trueRate * cfg.LCVisibleRate
 		}
@@ -404,11 +422,22 @@ func buildStates(cfg Config, wl Workload) []*appState {
 	return apps
 }
 
+// memoize returns m[k], computing it with f and storing it on first use.
+func memoize[K comparable, V any](m map[K]V, k K, f func(K) V) V {
+	v, ok := m[k]
+	if !ok {
+		v = f(k)
+		m[k] = v
+	}
+	return v
+}
+
 // calibrateLC derives the app's per-request work and deadline from the
 // paper's methodology: the deadline is the 95th-percentile latency when the
 // application runs in isolation at high load with four LLC ways under
-// way-partitioning (Sec. VII).
-func calibrateLC(cfg Config, a *appState, p *tailbench.Profile, ac AppConfig, seed int64) *queueState {
+// way-partitioning (Sec. VII). deadlines memoizes isolatedP95 within one
+// run, keyed by the bits of its two inputs besides cfg.
+func calibrateLC(cfg Config, a *appState, p *tailbench.Profile, ac AppConfig, seed int64, deadlines map[[2]uint64]float64) *queueState {
 	refHops := meanHopsFromCore(cfg.Machine, ac.Core)
 	refHitLat := cfg.BankLatency + 2*refHops*cfg.HopCycles()
 	refSize := 4 * cfg.Machine.WayBytes() * float64(cfg.Machine.Banks())
@@ -425,20 +454,26 @@ func calibrateLC(cfg Config, a *appState, p *tailbench.Profile, ac AppConfig, se
 
 	sim := tailbench.NewQueueSim(cfg.Seed*1000 + seed)
 	sim.SetRate(lambda)
+	key := [2]uint64{math.Float64bits(p.HighQPS), math.Float64bits(meanService)}
+	deadline := memoize(deadlines, key, func([2]uint64) float64 {
+		return isolatedP95(cfg, p.HighQPS, meanService)
+	})
 	return &queueState{
 		sim:      sim,
 		workKI:   workKI,
-		deadline: isolatedP95(cfg, p, meanService),
+		deadline: deadline,
 		lambda:   lambda,
 	}
 }
 
 // isolatedP95 measures the reference 95th-percentile latency by simulating
-// the application alone at high load with the reference (four-way) service
-// time — the same estimator used during runs, so the deadline is unbiased.
-func isolatedP95(cfg Config, p *tailbench.Profile, meanService float64) float64 {
+// the application alone at high load (highQPS) with the reference
+// (four-way) service time — the same estimator used during runs, so the
+// deadline is unbiased. The queue's seed comes from cfg, so the result
+// depends on cfg, highQPS and meanService alone.
+func isolatedP95(cfg Config, highQPS, meanService float64) float64 {
 	sim := tailbench.NewQueueSim(cfg.Seed + 7919)
-	sim.SetRate(p.HighQPS / cfg.FreqHz)
+	sim.SetRate(highQPS / cfg.FreqHz)
 	var lats []float64
 	for len(lats) < 4000 {
 		lats = sim.RunEpochAppend(lats, cfg.EpochCycles(), meanService)

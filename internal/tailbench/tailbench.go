@@ -120,6 +120,9 @@ type QueueSim struct {
 	// Request work in TailBench-style servers varies moderately; the
 	// default (set by NewQueueSim) is 0.3.
 	ServiceCV float64
+	// mu and sigma are the lognormal parameters for ServiceCV == paramCV,
+	// recomputed by service whenever a caller has changed ServiceCV.
+	paramCV, mu, sigma float64
 
 	// Completed counts finished requests.
 	Completed uint64
@@ -157,9 +160,11 @@ func (q *QueueSim) service(mean float64) float64 {
 	if q.ServiceCV <= 0 {
 		return mean
 	}
-	sigma2 := math.Log(1 + q.ServiceCV*q.ServiceCV)
-	mu := -sigma2 / 2
-	return mean * math.Exp(mu+math.Sqrt(sigma2)*q.rng.NormFloat64())
+	if q.ServiceCV != q.paramCV {
+		sigma2 := math.Log(1 + q.ServiceCV*q.ServiceCV)
+		q.paramCV, q.mu, q.sigma = q.ServiceCV, -sigma2/2, math.Sqrt(sigma2)
+	}
+	return mean * math.Exp(q.mu+q.sigma*q.rng.NormFloat64())
 }
 
 // QueueLen returns the number of requests waiting (not yet in service).

@@ -2,6 +2,7 @@ package tailbench
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"jumanji/internal/stats"
@@ -128,6 +129,26 @@ func TestServiceCVControlsVariance(t *testing.T) {
 	}
 	if lowCV, highCV := run(0.1), run(1.5); highCV <= lowCV {
 		t.Errorf("p99 with CV 1.5 (%v) should exceed CV 0.1 (%v)", highCV, lowCV)
+	}
+}
+
+// TestServiceMatchesPerDrawFormula pins service's cached lognormal
+// parameters bitwise to computing them for every draw, including when
+// ServiceCV changes between draws (it is a public field).
+func TestServiceMatchesPerDrawFormula(t *testing.T) {
+	q := NewQueueSim(5)
+	ref := rand.New(rand.NewSource(5))
+	for i, cv := range []float64{0.3, 0.3, 1, 1, 0, 0.5, 0.3, 2, 2, -1, 0.3} {
+		q.ServiceCV = cv
+		want := 800.0
+		if cv > 0 {
+			sigma2 := math.Log(1 + cv*cv)
+			mu := -sigma2 / 2
+			want = 800 * math.Exp(mu+math.Sqrt(sigma2)*ref.NormFloat64())
+		}
+		if got := q.service(800); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d (cv %v): service = %v, per-draw formula gives %v", i, cv, got, want)
+		}
 	}
 }
 
