@@ -88,24 +88,25 @@ func TestAllocGuardAppsOf(t *testing.T) {
 }
 
 // TestAllocGuardPlace guards the whole placement hot path: with a warmed
-// scratch pool, a Jumanji reconfiguration should allocate only a handful of
-// times (retained map growth aside).
+// scratch pool, a Jumanji, Static, Adaptive or VM-Part reconfiguration
+// should allocate only a handful of times (retained map growth aside).
 func TestAllocGuardPlace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; guarded by the non-race CI step")
 	}
 	in, pl, _ := allocGuardPlacement()
-	p := JumanjiPlacer{}
-	p.PlaceInto(in, pl) // warm the placeScratch pool
-	allocs := testing.AllocsPerRun(50, func() {
-		p.PlaceInto(in, pl)
-	})
-	// The steady-state budget: pool Get/Put plumbing plus map internals may
-	// allocate a few times, but the old per-epoch behaviour (hundreds of
-	// slices and maps) must not come back.
-	const maxAllocs = 12
-	if allocs > maxAllocs {
-		t.Errorf("JumanjiPlacer.PlaceInto allocated %v times per call, want <= %d", allocs, maxAllocs)
+	for _, p := range []ScratchPlacer{JumanjiPlacer{}, StaticPlacer{}, AdaptivePlacer{}, VMPartPlacer{}} {
+		p.PlaceInto(in, pl) // warm the placeScratch pool
+		allocs := testing.AllocsPerRun(50, func() {
+			p.PlaceInto(in, pl)
+		})
+		// The steady-state budget: pool Get/Put plumbing plus map internals
+		// may allocate a few times, but the old per-epoch behaviour (hundreds
+		// of slices and maps) must not come back.
+		const maxAllocs = 12
+		if allocs > maxAllocs {
+			t.Errorf("%s.PlaceInto allocated %v times per call, want <= %d", p.Name(), allocs, maxAllocs)
+		}
 	}
 }
 

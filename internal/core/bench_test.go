@@ -57,6 +57,8 @@ func BenchmarkPlacementOps(b *testing.B) {
 // the flat placer (superlinear in banks×apps) against the hierarchical
 // ShardedPlacer with default regions, whose cost is near-linear in regions.
 // The ISSUE 8 acceptance bar: sharded 16x16 is ≥5× faster than flat 16x16.
+// The 12x12 and 16x16 vm-part sub-benchmarks are VM-Part at fleet scale,
+// where its batch VMs outnumber the spare ways and no per-VM curve is built.
 func BenchmarkPlacerPlace(b *testing.B) {
 	runOn := func(b *testing.B, m Machine, p ScratchPlacer) {
 		rng := rand.New(rand.NewSource(42))
@@ -84,5 +86,10 @@ func BenchmarkPlacerPlace(b *testing.B) {
 		b.Run(name+"/sharded", func(b *testing.B) {
 			runOn(b, m, ShardedPlacer{})
 		})
+		if dim >= 12 {
+			b.Run(name+"/vm-part", func(b *testing.B) {
+				runOn(b, m, VMPartPlacer{})
+			})
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jumanji/internal/lookahead"
-	"jumanji/internal/mrc"
 	"jumanji/internal/obs"
 )
 
@@ -33,7 +32,10 @@ func (s StaticPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 		ways = 4
 	}
 	pl.Reset(in.Machine)
-	lat := in.LatCritApps()
+	sc := getPlaceScratch(in)
+	defer putPlaceScratch(sc)
+	sc.latApps = in.AppendLatCritApps(sc.latApps[:0])
+	lat := sc.latApps
 	// Fleet-scale fallback: with enough latency-critical apps (datacenter
 	// meshes host dozens) the fixed per-app ways exceed the associativity, so
 	// split the ways left after the batch pool's one-way reserve equally
@@ -56,7 +58,8 @@ func (s StaticPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 		usedWays += waysPerApp
 	}
 	poolWays := float64(in.Machine.WaysPerBank) - usedWays
-	placeSharedBatchPool(in, pl, in.BatchApps(), poolWays)
+	sc.batch = in.AppendBatchApps(sc.batch[:0])
+	placeSharedBatchPool(in, pl, sc, sc.batch, poolWays)
 	return pl
 }
 
@@ -77,8 +80,11 @@ func (p AdaptivePlacer) Place(in *Input) *Placement {
 func (AdaptivePlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	pl.Reset(in.Machine)
-	poolWays := placeAdaptiveLatCrit(in, pl)
-	placeSharedBatchPool(in, pl, in.BatchApps(), poolWays)
+	s := getPlaceScratch(in)
+	defer putPlaceScratch(s)
+	poolWays := placeAdaptiveLatCrit(in, pl, s)
+	s.batch = in.AppendBatchApps(s.batch[:0])
+	placeSharedBatchPool(in, pl, s, s.batch, poolWays)
 	return pl
 }
 
@@ -99,36 +105,51 @@ func (p VMPartPlacer) Place(in *Input) *Placement {
 func (VMPartPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
 	pl.Reset(in.Machine)
-	poolWays := placeAdaptiveLatCrit(in, pl)
-
-	// Divide the batch ways among VMs by lookahead over each VM's combined
-	// batch miss curve; quantum is one way across all banks. Scratch reuse
-	// keeps the per-epoch cost flat: app lists and the combined curves come
-	// from a pooled placeScratch (the curves from its arena).
 	s := getPlaceScratch(in)
 	defer putPlaceScratch(s)
+	poolWays := placeAdaptiveLatCrit(in, pl, s)
+	sizes := vmPartWays(in, s, poolWays)
+	for i, vm := range s.batchVMs {
+		s.lat, s.batch = in.AppendAppsOf(s.lat[:0], s.batch[:0], vm)
+		vmWaysPerBank := sizes[i] / wayStripeBytes(in)
+		split := sharedPoolSplit(s, in, s.batch, sizes[i])
+		for j, app := range s.batch {
+			stripe(in, pl, app, split[j])
+			pl.SetUnpartitioned(app)
+			pl.SetGroupWays(app, vmWaysPerBank)
+		}
+	}
+	return pl
+}
+
+// vmPartWays divides poolWays (per bank) of batch ways among the VMs that
+// hold batch apps, listed in s.batchVMs, by lookahead over each VM's
+// combined batch miss curve; the quantum is one way across all banks. It
+// returns the VMs' bytes in s.sizes. Scratch reuse keeps the per-epoch cost
+// flat: app lists and the combined curves come from s (the curves from its
+// arena).
+func vmPartWays(in *Input, s *placeScratch, poolWays float64) []float64 {
+	way := wayStripeBytes(in)
 	s.vms = in.AppendVMs(s.vms[:0])
+	s.batchVMs = s.batchVMs[:0]
 	reqs := s.reqs[:0]
-	var vmsWithBatch []VMID
 	for _, vm := range s.vms {
 		s.lat, s.batch = in.AppendAppsOf(s.lat[:0], s.batch[:0], vm)
 		if len(s.batch) == 0 {
 			continue
 		}
-		vmsWithBatch = append(vmsWithBatch, vm)
-		reqs = append(reqs, lookahead.Request{
-			Curve: combinedBatchCurveArena(s, in, s.batch),
-			Min:   wayStripeBytes(in), // every VM keeps at least one way
-			Step:  wayStripeBytes(in),
-		})
+		mustShareUnit(in, vm, s.batch)
+		s.batchVMs = append(s.batchVMs, vm)
+		// Every VM keeps at least one way.
+		reqs = append(reqs, lookahead.Request{Min: way, Step: way})
 	}
 	s.reqs = reqs
-	poolBytes := poolWays * wayStripeBytes(in)
+	poolBytes := poolWays * way
 	// Fleet-scale fallback: with more batch VMs than spare ways (datacenter
 	// meshes) the one-way-per-VM minimum is infeasible; scale the quantum
 	// down so every VM still gets an equal guaranteed sliver. The historical
 	// whole-way behaviour is untouched whenever it was feasible.
-	if minTotal := wayStripeBytes(in) * float64(len(reqs)); minTotal > poolBytes {
+	if minTotal := way * float64(len(reqs)); minTotal > poolBytes {
 		scale := poolBytes / minTotal
 		for i := range reqs {
 			reqs[i].Min *= scale
@@ -138,24 +159,23 @@ func (VMPartPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 			in.Prov.Valve(obs.ValveVMQuantumRescale, -1, 0, scale, "")
 		}
 	}
+	// The combined curves are built only for a lookahead that can grant
+	// beyond the minima, or for provenance to score. The rescaled slivers
+	// fill the pool, so at fleet scale no curve is read.
+	if lookahead.CanGrow(poolBytes, reqs) || in.Prov.Enabled() {
+		for i, vm := range s.batchVMs {
+			s.lat, s.batch = in.AppendAppsOf(s.lat[:0], s.batch[:0], vm)
+			reqs[i].Curve = combinedBatchCurveArena(s, in, s.batch)
+		}
+	}
 	s.sizes = lookahead.AllocateInto(s.sizes[:0], poolBytes, reqs)
 	if in.Prov.Enabled() {
-		for i, vm := range vmsWithBatch {
+		for i, vm := range s.batchVMs {
 			in.Prov.Decision(obs.StageVMWays, int(vm), -1, false, s.sizes[i])
 			in.Prov.Score(obs.StageVMWays, int(vm), -1, reqs[i].Curve.Eval(s.sizes[i]))
 		}
 	}
-	for i, vm := range vmsWithBatch {
-		s.lat, s.batch = in.AppendAppsOf(s.lat[:0], s.batch[:0], vm)
-		vmWaysPerBank := s.sizes[i] / wayStripeBytes(in)
-		split := sharedPoolSplit(in, s.batch, s.sizes[i])
-		for _, app := range s.batch {
-			stripe(in, pl, app, split[app])
-			pl.SetUnpartitioned(app)
-			pl.SetGroupWays(app, vmWaysPerBank)
-		}
-	}
-	return pl
+	return s.sizes
 }
 
 // placeAdaptiveLatCrit stripes each latency-critical app's feedback-set
@@ -163,17 +183,22 @@ func (VMPartPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 // If the controllers collectively ask for more than the LLC can give while
 // keeping one way per bank for batch, all latency-critical allocations are
 // scaled down proportionally.
-func placeAdaptiveLatCrit(in *Input, pl *Placement) float64 {
-	lat := in.LatCritApps()
-	sizes := make([]float64, len(lat))
+//
+// The sizes live in s.sizes, which the caller may reuse once it returns.
+func placeAdaptiveLatCrit(in *Input, pl *Placement, s *placeScratch) float64 {
+	s.latApps = in.AppendLatCritApps(s.latApps[:0])
+	lat := s.latApps
+	sizes := s.sizes[:0]
 	total := 0.0
-	for i, app := range lat {
-		sizes[i] = in.LatSizes[app]
-		if min := wayStripeBytes(in); sizes[i] < min {
-			sizes[i] = min
+	for _, app := range lat {
+		size := in.LatSizes[app]
+		if min := wayStripeBytes(in); size < min {
+			size = min
 		}
-		total += sizes[i]
+		sizes = append(sizes, size)
+		total += size
 	}
+	s.sizes = sizes
 	if budget := in.Machine.TotalBytes() - wayStripeBytes(in); total > budget {
 		scale := budget / total
 		for i := range sizes {
@@ -196,11 +221,11 @@ func placeAdaptiveLatCrit(in *Input, pl *Placement) float64 {
 
 // placeSharedBatchPool splits poolWays (per bank) of unpartitioned capacity
 // among the batch apps by the natural-sharing model and stripes them.
-func placeSharedBatchPool(in *Input, pl *Placement, batch []AppID, poolWays float64) {
+func placeSharedBatchPool(in *Input, pl *Placement, s *placeScratch, batch []AppID, poolWays float64) {
 	poolBytes := poolWays * wayStripeBytes(in)
-	split := sharedPoolSplit(in, batch, poolBytes)
-	for _, app := range batch {
-		stripe(in, pl, app, split[app])
+	split := sharedPoolSplit(s, in, batch, poolBytes)
+	for i, app := range batch {
+		stripe(in, pl, app, split[i])
 		pl.SetUnpartitioned(app)
 		pl.SetGroupWays(app, poolWays)
 	}
@@ -212,14 +237,18 @@ func wayStripeBytes(in *Input) float64 {
 	return in.Machine.WayBytes() * float64(in.Machine.Banks())
 }
 
-// combinedBatchCurve builds the VM-combined absolute miss-rate curve using
-// the Whirlpool model (Sec. VI-D), on the way-stripe grid.
-func combinedBatchCurve(in *Input, batch []AppID) mrc.Curve {
-	curves := make([]mrc.Curve, len(batch))
-	for i, app := range batch {
-		curves[i] = in.Apps[app].MissRateCurve()
+// mustShareUnit panics unless vm's batch miss curves share one Unit, which
+// combining them requires (mrc.Combine panics on a mismatch). VM-Part and
+// Jumanji check it up front because they combine a VM's curves only when
+// lookahead can use them. Like Combine, it compares every unit with the
+// first, the first included, so a NaN unit fails too.
+func mustShareUnit(in *Input, vm VMID, batch []AppID) {
+	unit := in.Apps[batch[0]].MissRatio.Unit
+	for _, app := range batch {
+		if in.Apps[app].MissRatio.Unit != unit {
+			panic(fmt.Sprintf("core: VM %d's batch miss curves mix units", vm))
+		}
 	}
-	return mrc.Combine(curves...)
 }
 
 func mustValidate(in *Input) {

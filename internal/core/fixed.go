@@ -47,7 +47,8 @@ func (p FixedPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 			usedBytes += pl.TotalOf(app)
 		}
 	} else {
-		for _, app := range in.LatCritApps() {
+		s.latApps = in.AppendLatCritApps(s.latApps[:0])
+		for _, app := range s.latApps {
 			size := in.LatSizes[app]
 			if min := in.Machine.WayBytes(); size < min {
 				size = min
@@ -56,7 +57,8 @@ func (p FixedPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 			usedBytes += size
 		}
 	}
-	batch := in.BatchApps()
+	s.batch = in.AppendBatchApps(s.batch[:0])
+	batch := s.batch
 	if len(batch) == 0 {
 		return pl
 	}
@@ -65,7 +67,7 @@ func (p FixedPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 		if poolWays < 1 {
 			poolWays = 1
 		}
-		placeSharedBatchPool(in, pl, batch, poolWays)
+		placeSharedBatchPool(in, pl, s, batch, poolWays)
 		return pl
 	}
 	// D-NUCA mode: the batch pool is whatever capacity the latency-critical
@@ -79,16 +81,16 @@ func (p FixedPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	if remaining <= 0 {
 		panic("core: fixed allocation left no space for batch")
 	}
-	split := sharedPoolSplit(in, batch, remaining)
+	split := sharedPoolSplit(s, in, batch, remaining)
 	meanPoolWays := remaining / float64(in.Machine.Banks()) / in.Machine.WayBytes()
-	for _, app := range batch {
+	for i, app := range batch {
 		for b, free := range balance {
-			pl.Add(app, topo.TileID(b), split[app]*free/remaining)
+			pl.Add(app, topo.TileID(b), split[i]*free/remaining)
 		}
 		pl.SetUnpartitioned(app)
 		pl.SetGroupWays(app, meanPoolWays)
 		if in.Prov.Enabled() {
-			in.Prov.Simple(obs.StageBatch, int(in.Apps[app].VM), int(app), false, split[app], split[app])
+			in.Prov.Simple(obs.StageBatch, int(in.Apps[app].VM), int(app), false, split[i], split[i])
 		}
 	}
 	return pl

@@ -10,32 +10,38 @@ import (
 // proportional to each application's insertion rate (miss rate at its
 // current share), iterated to a fixed point. This models the batch pool of
 // the Static and Adaptive designs, where nothing enforces per-app shares.
-func sharedPoolSplit(in *Input, apps []AppID, poolBytes float64) map[AppID]float64 {
-	out := make(map[AppID]float64, len(apps))
+// The shares come back by position (the i-th is apps[i]'s) in s.split,
+// valid until the next call on s.
+func sharedPoolSplit(s *placeScratch, in *Input, apps []AppID, poolBytes float64) []float64 {
+	out, pressure := s.split[:0], s.pressure[:0]
+	for range apps {
+		out = append(out, 0)
+		pressure = append(pressure, 0)
+	}
+	s.split, s.pressure = out, pressure
 	if len(apps) == 0 || poolBytes <= 0 {
 		return out
 	}
 	// Start from an even split.
-	for _, a := range apps {
-		out[a] = poolBytes / float64(len(apps))
+	for i := range apps {
+		out[i] = poolBytes / float64(len(apps))
 	}
 	for iter := 0; iter < 30; iter++ {
 		total := 0.0
-		pressure := make(map[AppID]float64, len(apps))
-		for _, a := range apps {
+		for i, a := range apps {
 			spec := in.Apps[a]
 			// Insertion pressure = miss rate at current occupancy.
-			pr := spec.MissRatio.Eval(out[a]) * spec.AccessRate
+			pr := spec.MissRatio.Eval(out[i]) * spec.AccessRate
 			if pr < 1e-9 {
 				pr = 1e-9 // idle apps keep a sliver (cold data lingers)
 			}
-			pressure[a] = pr
+			pressure[i] = pr
 			total += pr
 		}
-		for _, a := range apps {
+		for i := range apps {
 			// Damped update for stable convergence.
-			target := poolBytes * pressure[a] / total
-			out[a] = 0.5*out[a] + 0.5*target
+			target := poolBytes * pressure[i] / total
+			out[i] = 0.5*out[i] + 0.5*target
 		}
 	}
 	return out

@@ -174,11 +174,23 @@ func (p JumanjiPlacer) placeOversubscribed(in *Input, vms []VMID, pl *Placement)
 // holding a VM's latency-critical data belong to that VM from the start.
 // The returned per-bank owner slice (-1 = free) is s.owner.
 func (p JumanjiPlacer) assignBanks(in *Input, pl *Placement, latRes latCritResult, s *placeScratch) ([]VMID, error) {
+	if len(s.vms) > in.Machine.Banks() {
+		return nil, fmt.Errorf("core: %d VMs exceed %d banks; bank isolation impossible", len(s.vms), in.Machine.Banks())
+	}
+	sizes, err := jumanjiLookahead(in, pl, s)
+	if err != nil {
+		return nil, err
+	}
+	return handOutBanks(in, latRes, s, sizes)
+}
+
+// jumanjiLookahead divides the batch capacity among the VMs of s.vms so that
+// each VM's latency-critical reservation (left in s.latOf) plus its batch
+// share is a whole number of banks. It returns the batch shares in VM order,
+// in s.sizes.
+func jumanjiLookahead(in *Input, pl *Placement, s *placeScratch) ([]float64, error) {
 	m := in.Machine
 	vms := s.vms
-	if len(vms) > m.Banks() {
-		return nil, fmt.Errorf("core: %d VMs exceed %d banks; bank isolation impossible", len(vms), m.Banks())
-	}
 
 	// Feedback-reserved bytes per VM.
 	latOf := s.latOf
@@ -189,17 +201,17 @@ func (p JumanjiPlacer) assignBanks(in *Input, pl *Placement, latRes latCritResul
 	}
 
 	// JumanjiLookahead: batch capacity divided among VMs so that
-	// lat + batch is a whole number of banks per VM.
+	// lat + batch is a whole number of banks per VM. The requests' curves
+	// are filled in below, once it is known whether lookahead reads them.
 	reqs := s.reqs[:0]
 	minTotal := 0.0
 	for _, vm := range vms {
 		s.lat, s.batch = in.AppendAppsOf(s.lat[:0], s.batch[:0], vm)
 		batch := s.batch
-		curve := flatCurve(in, &s.arena)
 		if len(batch) > 0 {
-			curve = s.arena.ConvexHull(combinedBatchHullArena(s, in, batch))
+			mustShareUnit(in, vm, batch)
 		}
-		r := lookahead.BankGranularRequest(curve, 1, latOf[vm], m.BankBytes)
+		r := lookahead.BankGranularRequest(mrc.Curve{}, 1, latOf[vm], m.BankBytes)
 		// A VM whose latency-critical data lands exactly on a bank boundary
 		// would start with zero batch space; its batch applications still
 		// need a way each, so step the minimum to the next feasible point.
@@ -224,14 +236,36 @@ func (p JumanjiPlacer) assignBanks(in *Input, pl *Placement, latRes latCritResul
 	if minTotal > batchBalance+1e-6 {
 		return nil, fmt.Errorf("core: bank-granular minima (%g) exceed batch capacity (%g)", minTotal, batchBalance)
 	}
-	s.sizes = lookahead.AllocateInto(s.sizes[:0], batchBalance, reqs)
-	sizes := s.sizes
-	if in.Prov.Enabled() {
+	// Each VM's curve is the hull of its combined batch hulls (flat for a
+	// VM without batch), built only for a lookahead that can grant a bank
+	// beyond the minima, or for provenance to score.
+	if lookahead.CanGrow(batchBalance, reqs) || in.Prov.Enabled() {
 		for i, vm := range vms {
-			in.Prov.Decision(obs.StageVMBanks, int(vm), -1, false, latOf[vm]+sizes[i])
-			in.Prov.Score(obs.StageVMBanks, int(vm), -1, reqs[i].Curve.Eval(sizes[i]))
+			s.lat, s.batch = in.AppendAppsOf(s.lat[:0], s.batch[:0], vm)
+			if len(s.batch) == 0 {
+				reqs[i].Curve = flatCurve(in, &s.arena)
+			} else {
+				reqs[i].Curve = s.arena.ConvexHull(combinedBatchHullArena(s, in, s.batch))
+			}
 		}
 	}
+	s.sizes = lookahead.AllocateInto(s.sizes[:0], batchBalance, reqs)
+	if in.Prov.Enabled() {
+		for i, vm := range vms {
+			in.Prov.Decision(obs.StageVMBanks, int(vm), -1, false, latOf[vm]+s.sizes[i])
+			in.Prov.Score(obs.StageVMBanks, int(vm), -1, reqs[i].Curve.Eval(s.sizes[i]))
+		}
+	}
+	return s.sizes, nil
+}
+
+// handOutBanks turns the VMs' batch shares (sizes, in VM order) and their
+// reservations (s.latOf) into whole-bank entitlements and hands the banks
+// out round-robin. It returns the per-bank owners, s.owner.
+func handOutBanks(in *Input, latRes latCritResult, s *placeScratch, sizes []float64) ([]VMID, error) {
+	m := in.Machine
+	vms := s.vms
+	latOf := s.latOf
 
 	// Whole-bank entitlement per VM.
 	needed := s.needed

@@ -25,22 +25,25 @@ import (
 // A borrow serves one placement of one Input: the hull slots are emptied at
 // borrow time and then filled from that Input by appHull.
 type placeScratch struct {
-	arena   mrc.Arena
-	balance []float64
-	claims  []VMID      // per-bank latency-critical owner, -1 = unclaimed
-	owner   []VMID      // per-bank VM owner, -1 = free
-	allowed []bool      // per-bank membership mask for greedyFill
-	hulls   []mrc.Curve // per-app miss-rate hull, nil M = not built yet
-	vms     []VMID
-	lat     []AppID // AppendAppsOf scratch
-	batch   []AppID
-	latApps []AppID // AppendLatCritApps scratch
-	reqs    []lookahead.Request
-	sizes   []float64
-	order   []int32 // appendByDescendingRate scratch
-	curves  []mrc.Curve
-	latOf   map[VMID]float64
-	needed  map[VMID]int
+	arena    mrc.Arena
+	balance  []float64
+	claims   []VMID      // per-bank latency-critical owner, -1 = unclaimed
+	owner    []VMID      // per-bank VM owner, -1 = free
+	allowed  []bool      // per-bank membership mask for greedyFill
+	hulls    []mrc.Curve // per-app miss-rate hull, nil M = not built yet
+	vms      []VMID
+	lat      []AppID // AppendAppsOf scratch
+	batch    []AppID
+	latApps  []AppID // AppendLatCritApps scratch
+	reqs     []lookahead.Request
+	sizes    []float64
+	batchVMs []VMID    // VMs holding batch apps, in VM order
+	split    []float64 // sharedPoolSplit's shares, by position
+	pressure []float64 // sharedPoolSplit's per-iteration pressures
+	order    []int32   // appendByDescendingRate scratch
+	curves   []mrc.Curve
+	latOf    map[VMID]float64
+	needed   map[VMID]int
 }
 
 var placeScratchPool = sync.Pool{New: func() any {
@@ -86,10 +89,11 @@ func putPlaceScratch(s *placeScratch) {
 	placeScratchPool.Put(s)
 }
 
-// combinedBatchCurveArena is combinedBatchCurve with every intermediate and
-// the result backed by s.arena (valid until the scratch is returned). Its
-// hulls live in mrc's pooled single-hull scratch, for placers that read each
-// app's hull only here.
+// combinedBatchCurveArena builds the VM-combined absolute miss-rate curve
+// of batch using the Whirlpool model (Sec. VI-D), on the way grid, with every
+// intermediate and the result backed by s.arena (valid until the scratch is
+// returned). Its hulls live in mrc's pooled single-hull scratch, for placers
+// that read each app's hull only here.
 func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
 	curves := s.curves[:0]
 	for _, app := range batch {

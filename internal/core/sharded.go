@@ -228,6 +228,13 @@ func putRegionScratch(rs *regionScratch) { regionScratchPool.Put(rs) }
 // reflects its miss-curve utility, not just its app count; assignment is
 // neediest-VM-first to its nearest region with room.
 func assignVMsToRegions(in *Input, regs *topo.Regions, s *shardScratch) {
+	vmBankNeeds(in, s)
+	assignNeediestFirst(in, regs, s)
+}
+
+// vmBankNeeds fills s.need: each VM's whole-machine bank entitlement, in the
+// order of s.vms.
+func vmBankNeeds(in *Input, s *shardScratch) {
 	m := in.Machine
 	vms := s.vms
 	wayBytes := m.WayBytes()
@@ -249,27 +256,9 @@ func assignVMsToRegions(in *Input, regs *topo.Regions, s *shardScratch) {
 		}
 		s.latOf = append(s.latOf, lat)
 		latTotal += lat
-		// The entitlement request steps in whole banks, so bank-granular
-		// samples of each miss-rate curve carry all the information this
-		// stage can use — downsampling turns the assignment stage from
-		// O(apps × ways) into O(apps × banks) curve work, which is what keeps
-		// stage 1 cheap at 100s of banks.
-		curve := flatCurve(in, &s.arena)
-		if len(s.batch) > 0 {
-			nb := m.Banks() + 1
-			curves := s.curves[:0]
-			for _, app := range s.batch {
-				spec := in.Apps[app]
-				d := s.arena.Curve(m.BankBytes, nb)
-				for k := range d.M {
-					d.M[k] = spec.MissRatio.Eval(float64(k)*m.BankBytes) * spec.AccessRate
-				}
-				curves = append(curves, d)
-			}
-			s.curves = curves
-			curve = s.arena.ConvexHull(s.arena.Combine(curves...))
-		}
-		r := lookahead.BankGranularRequest(curve, 1, lat, m.BankBytes)
+		// The curves are filled in below, once it is known whether
+		// lookahead reads them.
+		r := lookahead.BankGranularRequest(mrc.Curve{}, 1, lat, m.BankBytes)
 		if len(s.batch) > 0 && r.Min < wayBytes*float64(len(s.batch)) {
 			r.Min += m.BankBytes
 		}
@@ -286,6 +275,12 @@ func assignVMsToRegions(in *Input, regs *topo.Regions, s *shardScratch) {
 		}
 		batchBalance = minTotal
 	}
+	if lookahead.CanGrow(batchBalance, s.reqs) {
+		for i, vm := range vms {
+			s.lat, s.batch = in.AppendAppsOf(s.lat[:0], s.batch[:0], vm)
+			s.reqs[i].Curve = entitlementCurve(in, s, s.batch)
+		}
+	}
 	s.sizes = lookahead.AllocateInto(s.sizes[:0], batchBalance, s.reqs)
 
 	s.need = s.need[:0]
@@ -296,6 +291,13 @@ func assignVMsToRegions(in *Input, regs *topo.Regions, s *shardScratch) {
 		}
 		s.need = append(s.need, banks)
 	}
+}
+
+// assignNeediestFirst fills s.region from s.need: VMs in descending need,
+// each to its nearest region with room.
+func assignNeediestFirst(in *Input, regs *topo.Regions, s *shardScratch) {
+	m := in.Machine
+	vms := s.vms
 
 	// Neediest first; the stable insertion sort keeps ties in ascending VM
 	// order, so the permutation — hence the assignment — is deterministic.
@@ -362,6 +364,32 @@ func assignVMsToRegions(in *Input, regs *topo.Regions, s *shardScratch) {
 		s.regVMs[best]++
 		s.regFree[best] -= need
 	}
+}
+
+// entitlementCurve is the curve of one VM's entitlement request: the hull
+// of its batch apps' combined miss-rate curves, flat for a VM without
+// batch. The request steps in whole banks, so bank-granular samples of each
+// miss-rate curve carry all the information this stage can use —
+// downsampling turns the assignment stage from O(apps × ways) into
+// O(apps × banks) curve work, which is what keeps stage 1 cheap at 100s of
+// banks.
+func entitlementCurve(in *Input, s *shardScratch, batch []AppID) mrc.Curve {
+	if len(batch) == 0 {
+		return flatCurve(in, &s.arena)
+	}
+	m := in.Machine
+	nb := m.Banks() + 1
+	curves := s.curves[:0]
+	for _, app := range batch {
+		spec := in.Apps[app]
+		d := s.arena.Curve(m.BankBytes, nb)
+		for k := range d.M {
+			d.M[k] = spec.MissRatio.Eval(float64(k)*m.BankBytes) * spec.AccessRate
+		}
+		curves = append(curves, d)
+	}
+	s.curves = curves
+	return s.arena.ConvexHull(s.arena.Combine(curves...))
 }
 
 // vmRegionDistance is the total hop distance from vm's cores to region r —

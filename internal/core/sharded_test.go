@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,8 +9,9 @@ import (
 )
 
 // requireBitwiseEqual fails unless a and b agree exactly — every per-bank
-// float bit-identical, every side table equal — for all apps of in.
-func requireBitwiseEqual(t *testing.T, in *Input, a, b *Placement, label string) {
+// float bit-identical (NaNs included), every side table equal — for all
+// apps of in.
+func requireBitwiseEqual(t testing.TB, in *Input, a, b *Placement, label string) {
 	t.Helper()
 	for i := range in.Apps {
 		app := AppID(i)
@@ -22,7 +24,7 @@ func requireBitwiseEqual(t *testing.T, in *Input, a, b *Placement, label string)
 			if bk < len(rb) {
 				vb = rb[bk]
 			}
-			if va != vb {
+			if math.Float64bits(va) != math.Float64bits(vb) {
 				t.Fatalf("%s: app %d bank %d: %v != %v", label, i, bk, va, vb)
 			}
 		}
@@ -32,10 +34,10 @@ func requireBitwiseEqual(t *testing.T, in *Input, a, b *Placement, label string)
 		if a.Overlay(app) != b.Overlay(app) {
 			t.Fatalf("%s: app %d Overlay differs", label, i)
 		}
-		if a.GroupWays(app) != b.GroupWays(app) {
+		if math.Float64bits(a.GroupWays(app)) != math.Float64bits(b.GroupWays(app)) {
 			t.Fatalf("%s: app %d GroupWays differs: %v != %v", label, i, a.GroupWays(app), b.GroupWays(app))
 		}
-		if a.TimeShared(app) != b.TimeShared(app) {
+		if math.Float64bits(a.TimeShared(app)) != math.Float64bits(b.TimeShared(app)) {
 			t.Fatalf("%s: app %d TimeShared differs: %v != %v", label, i, a.TimeShared(app), b.TimeShared(app))
 		}
 	}

@@ -22,7 +22,10 @@ var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // Request describes one contender for capacity.
 type Request struct {
-	Curve mrc.Curve // miss curve; Curve.Unit is in bytes
+	// Curve is the miss curve; Curve.Unit is in bytes. Allocate reads no
+	// curve when CanGrow is false, so callers that check CanGrow first may
+	// leave it the zero Curve then, provided Step is set.
+	Curve mrc.Curve
 	// Weight scales the curve's utility (e.g. by access rate) so that
 	// curves expressed as miss *ratios* compete fairly. Zero means 1.
 	Weight float64
@@ -80,6 +83,9 @@ func AllocateInto(dst []float64, total float64, reqs []Request) []float64 {
 	if remaining < -1e-6 {
 		panic(fmt.Sprintf("lookahead: minimum allocations (%g) exceed total (%g)",
 			total-remaining, total))
+	}
+	if !CanGrow(total, reqs) {
+		return dst
 	}
 
 	weight := func(i int) float64 {
@@ -182,6 +188,30 @@ func AllocateInto(dst []float64, total float64, reqs []Request) []float64 {
 			return dst
 		}
 	}
+}
+
+// CanGrow reports whether Allocate(total, reqs) may grant anything beyond
+// the minima: whether some request's step fits in what the minima leave of
+// total, within the 1e-9 tolerance both of Allocate's grant loops apply. A
+// NaN left over counts as fitting, as it does in the convex loop. When
+// CanGrow is false Allocate returns the minima without reading any curve,
+// so a caller whose curves are costly to build can skip them. A request's
+// step is its Step, or its curve's Unit when Step is not positive.
+func CanGrow(total float64, reqs []Request) bool {
+	remaining := total
+	for _, r := range reqs {
+		remaining -= r.Min
+	}
+	for _, r := range reqs {
+		step := r.Curve.Unit
+		if r.Step > 0 {
+			step = r.Step
+		}
+		if !(step > remaining+1e-9) {
+			return true
+		}
+	}
+	return false
 }
 
 func minStep(reqs []Request, step func(int) float64) float64 {

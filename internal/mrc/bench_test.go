@@ -96,9 +96,12 @@ func BenchmarkMRCCombine(b *testing.B) {
 	}
 }
 
-// BenchmarkMRCCombineFleet is BenchmarkMRCCombine at the 16×16 fleet shape:
-// VM-Part combines each VM's four batch curves on the way-stripe grid,
-// 4,096 points each (16 ways × 256 banks), once per VM per epoch.
+// BenchmarkMRCCombineFleet is BenchmarkMRCCombine at fleet size: four
+// curves of 4,096 points each. On a 16×16 mesh with the default 32 ways an
+// app's curve has 8,193 points (one per way of the 256 banks, plus zero),
+// so a VM's four batch curves combine into 32,769 points: twice this
+// benchmark's inputs. VM-Part builds that combine only when its lookahead
+// can grant beyond the per-VM minima, which at 16×16 it usually cannot.
 func BenchmarkMRCCombineFleet(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	curves := make([]Curve, 4)
