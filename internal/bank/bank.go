@@ -15,6 +15,7 @@ package bank
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"jumanji/internal/obs"
@@ -111,7 +112,8 @@ type Bank struct {
 	psel     int // set-dueling selector: high means BRRIP is winning
 	clock    uint64
 	rng      *rand.Rand
-	setShift uint
+	setShift uint // log2(LineSize): the offset bits below the set index
+	setBits  uint // log2(Sets): the set-index width below the tag
 	setMask  uint64
 
 	// OnEvict, if set, is called with the reconstructed base address and
@@ -159,9 +161,8 @@ func New(cfg Config) *Bank {
 	for i := range b.sets {
 		b.sets[i] = make([]line, cfg.Ways)
 	}
-	for s := uint64(cfg.LineSize); s > 1; s >>= 1 {
-		b.setShift++
-	}
+	b.setShift = uint(bits.TrailingZeros64(cfg.LineSize))
+	b.setBits = uint(bits.TrailingZeros64(uint64(cfg.Sets)))
 	b.setMask = uint64(cfg.Sets - 1)
 	return b
 }
@@ -234,16 +235,12 @@ func (b *Bank) setIndex(addr uint64) int {
 }
 
 func (b *Bank) tag(addr uint64) uint64 {
-	return addr >> b.setShift >> uint(log2(uint64(b.cfg.Sets)))
+	return addr >> b.setShift >> b.setBits
 }
 
-func log2(x uint64) int {
-	n := 0
-	for x > 1 {
-		x >>= 1
-		n++
-	}
-	return n
+// lineAddr reconstructs the base address of the line with tag in set si.
+func (b *Bank) lineAddr(tag uint64, si int) uint64 {
+	return ((tag << b.setBits) | uint64(si)) << b.setShift
 }
 
 // Access looks up addr on behalf of partition p, filling on a miss.
@@ -377,9 +374,7 @@ func (b *Bank) fill(si int, tag uint64, p PartitionID, write bool) {
 			vst.Writebacks++
 		}
 		if b.OnEvict != nil {
-			setBits := uint(log2(uint64(b.cfg.Sets)))
-			addr := ((set[victim].tag << setBits) | uint64(si)) << b.setShift
-			b.OnEvict(addr, set[victim].part)
+			b.OnEvict(b.lineAddr(set[victim].tag, si), set[victim].part)
 		}
 	}
 	set[victim] = line{
@@ -476,11 +471,33 @@ func (b *Bank) InvalidateWhere(pred func(lineAddr uint64) bool) int {
 	return b.invalidate(func(addr uint64, _ *line) bool { return pred(addr) })
 }
 
+// Invalidate drops the line whose base address is lineAddr and returns the
+// number of lines dropped: 0 or 1, since a set holds a tag at most once.
+// It probes only lineAddr's set, where InvalidateWhere walks the whole
+// array, and it agrees with InvalidateWhere(func(a uint64) bool { return a
+// == lineAddr }) on every input: an address not aligned to LineSize is no
+// line's base address and drops nothing. An inclusive hierarchy uses it to
+// invalidate one line in a sharer's private caches.
+func (b *Bank) Invalidate(lineAddr uint64) int {
+	if lineAddr&(b.cfg.LineSize-1) != 0 {
+		return 0
+	}
+	tag := b.tag(lineAddr)
+	set := b.sets[b.setIndex(lineAddr)]
+	n := 0
+	for w := range set {
+		if set[w].valid && set[w].tag == tag {
+			set[w].valid = false
+			n++
+		}
+	}
+	return n
+}
+
 // invalidate walks every valid line, invalidating those for which pred
 // returns true. The first argument to pred is the line's reconstructed base
 // address: addr = ((tag << setBits) | set) << setShift.
 func (b *Bank) invalidate(pred func(addr uint64, l *line) bool) int {
-	setBits := uint(log2(uint64(b.cfg.Sets)))
 	n := 0
 	for si := range b.sets {
 		for w := range b.sets[si] {
@@ -488,8 +505,7 @@ func (b *Bank) invalidate(pred func(addr uint64, l *line) bool) int {
 			if !l.valid {
 				continue
 			}
-			addr := ((l.tag << setBits) | uint64(si)) << b.setShift
-			if pred(addr, l) {
+			if pred(b.lineAddr(l.tag, si), l) {
 				l.valid = false
 				n++
 			}

@@ -81,9 +81,7 @@ func (v *VantageBank) fill(si int, tag uint64, p PartitionID) {
 		v.statsFor(set[victim].part).Evictions++
 		v.occupancy[set[victim].part]--
 		if v.OnEvict != nil {
-			setBits := uint(log2(uint64(v.cfg.Sets)))
-			addr := ((set[victim].tag << setBits) | uint64(si)) << v.setShift
-			v.OnEvict(addr, set[victim].part)
+			v.OnEvict(v.lineAddr(set[victim].tag, si), set[victim].part)
 		}
 	}
 	set[victim] = line{tag: tag, valid: true, part: p, used: v.clock, rrpv: v.insertionRRPV(si)}

@@ -92,8 +92,8 @@ type Hierarchy struct {
 	stats []Stats
 
 	// directory tracks which cores may hold a copy of each cached line
-	// (MESI sharer set; bit i = core i). Inclusive: lines leave the
-	// directory when they leave the LLC.
+	// (MESI sharer set; bit i = core i, so at most maxCores cores).
+	// Inclusive: lines leave the directory when they leave the LLC.
 	directory map[uint64]uint32
 
 	// Invalidations counts back-invalidations sent to private caches
@@ -126,9 +126,18 @@ func (h *Hierarchy) Instrument(reg *obs.Registry) {
 	}
 }
 
+// maxCores is the most cores the directory's sharer vector can name.
+const maxCores = 32
+
 // New builds a hierarchy with one L1+L2 per tile and one LLC bank per tile.
+// It panics above maxCores tiles, where a core's sharer bit would not fit
+// the directory and its private copies would escape inclusion (mesh sizes
+// are programmer-chosen, as bank geometries are).
 func New(cfg Config) *Hierarchy {
 	n := cfg.Mesh.Tiles()
+	if n > maxCores {
+		panic(fmt.Sprintf("cache: %d tiles exceed the directory's %d-core sharer vector", n, maxCores))
+	}
 	h := &Hierarchy{
 		cfg:       cfg,
 		l1:        make([]*bank.Bank, n),
@@ -240,7 +249,8 @@ func (h *Hierarchy) markSharer(la uint64, core int) {
 }
 
 // invalidateOtherSharers implements the write-invalidate half of MESI:
-// all private copies except the writer's are dropped.
+// all private copies except the writer's are dropped. Like the hardware, it
+// probes the line's one set in each sharer's L1 and L2.
 func (h *Hierarchy) invalidateOtherSharers(la uint64, writer int) {
 	sharers, ok := h.directory[la]
 	if !ok {
@@ -250,8 +260,7 @@ func (h *Hierarchy) invalidateOtherSharers(la uint64, writer int) {
 		if c == writer || sharers&(1<<uint(c)) == 0 {
 			continue
 		}
-		n := h.l1[c].InvalidateWhere(func(a uint64) bool { return a == la })
-		n += h.l2[c].InvalidateWhere(func(a uint64) bool { return a == la })
+		n := h.l1[c].Invalidate(la) + h.l2[c].Invalidate(la)
 		if n > 0 {
 			h.WritebackInvals += uint64(n)
 		}
@@ -260,7 +269,8 @@ func (h *Hierarchy) invalidateOtherSharers(la uint64, writer int) {
 }
 
 // backInvalidate enforces inclusion: when a line leaves the LLC, every
-// private copy is dropped.
+// private copy is dropped, probing the line's one set in each sharer's L1
+// and L2.
 func (h *Hierarchy) backInvalidate(la uint64) {
 	sharers, ok := h.directory[la]
 	if !ok {
@@ -270,8 +280,7 @@ func (h *Hierarchy) backInvalidate(la uint64) {
 		if sharers&(1<<uint(c)) == 0 {
 			continue
 		}
-		n := h.l1[c].InvalidateWhere(func(a uint64) bool { return a == la })
-		n += h.l2[c].InvalidateWhere(func(a uint64) bool { return a == la })
+		n := h.l1[c].Invalidate(la) + h.l2[c].Invalidate(la)
 		h.Invalidations += uint64(n)
 		h.obsInvals.Add(uint64(n))
 	}

@@ -99,6 +99,10 @@ type Driver struct {
 	lane   int // trace lane (0 when tracing is off)
 }
 
+// maxCores is the most tiles cache.New accepts: its directory names each
+// core's copy by one bit of a 32-bit sharer vector.
+const maxCores = 32
+
 // driverEpochUs is the nominal trace duration of one driver epoch in
 // microseconds. The driver replays a fixed access budget per epoch rather
 // than counting cycles, so trace timestamps use this nominal scale.
@@ -117,6 +121,9 @@ func New(cfg Config) (*Driver, error) {
 	}
 	if cfg.Machine.Banks() == 0 {
 		return nil, fmt.Errorf("driver: invalid machine")
+	}
+	if n := cfg.Machine.Mesh.Tiles(); n > maxCores {
+		return nil, fmt.Errorf("driver: %d tiles exceed the cache directory's %d-core sharer vector", n, maxCores)
 	}
 	hcfg := cache.DefaultConfig(cfg.Machine.Mesh)
 	// Scale the LLC banks to the machine description.
