@@ -341,22 +341,13 @@ func (h *Hierarchy) InstallPlacement(vcID vtb.VCID, d vtb.Descriptor) int {
 
 // FlushBank drops all lines in LLC bank b (and their private copies),
 // returning the LLC line count. Jumanji flushes banks shared across VMs on
-// context switch when VMs outnumber banks (Sec. IV-B).
+// context switch when VMs outnumber banks (Sec. IV-B). Inclusion carries the
+// flush to the private caches: each line of b is back-invalidated from its
+// sharers and leaves the directory before it is dropped, whichever VC maps
+// it or whether S-NUCA striping homed it in b.
 func (h *Hierarchy) FlushBank(b topo.TileID) int {
-	n := h.llc[b].FlushAll()
-	// Without per-line reverse maps, flush privates of all cores for lines
-	// homed in b under any installed descriptor: conservative but correct.
-	for c := range h.l1 {
-		inval := func(a uint64) bool {
-			vc, found := h.vtb.VCFor(a)
-			if !found {
-				return false
-			}
-			d, ok := h.vtb.Descriptor(vc)
-			return ok && d.BankFor(a) == b
-		}
-		h.Invalidations += uint64(h.l1[c].InvalidateWhere(inval))
-		h.Invalidations += uint64(h.l2[c].InvalidateWhere(inval))
-	}
-	return n
+	return h.llc[b].InvalidateWhere(func(la uint64) bool {
+		h.backInvalidate(la)
+		return true
+	})
 }

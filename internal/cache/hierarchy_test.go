@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"jumanji/internal/bank"
+	"jumanji/internal/obs"
 	"jumanji/internal/topo"
 	"jumanji/internal/vtb"
 )
@@ -195,5 +196,33 @@ func TestLevelString(t *testing.T) {
 		if l.String() == "" {
 			t.Errorf("Level(%d).String empty", int(l))
 		}
+	}
+}
+
+// TestFlushBankKeepsInclusionForStripedData pins FlushBank's inclusion on
+// data no VC maps: S-NUCA striping homes line 0x40 in bank 1, and flushing
+// that bank must take core 0's private copies and its directory entry with
+// it, counting both invalidations in Invalidations and cache.invalidations.
+func TestFlushBankKeepsInclusionForStripedData(t *testing.T) {
+	h := New(testConfig()) // no VC mapped
+	reg := obs.NewRegistry()
+	h.Instrument(reg)
+	if out := h.Access(0, 0x40, 0); out.Bank != 1 {
+		t.Fatalf("0x40 striped to bank %d, want 1", out.Bank)
+	}
+	if n := h.FlushBank(1); n != 1 {
+		t.Fatalf("FlushBank(1) = %d, want 1", n)
+	}
+	if sharers, ok := h.directory[0x40]; ok {
+		t.Errorf("directory still lists sharers %b for 0x40 after its bank was flushed", sharers)
+	}
+	if h.Invalidations != 2 {
+		t.Errorf("Invalidations = %d, want 2 (core 0's L1 and L2 copies)", h.Invalidations)
+	}
+	if v := reg.Counter("cache.invalidations").Value(); v != 2 {
+		t.Errorf("cache.invalidations = %d, want 2", v)
+	}
+	if out := h.Access(0, 0x40, 0); out.Level != LevelMemory {
+		t.Errorf("read after the flush: %v, want Memory (the L1 and L2 copies must be gone)", out.Level)
 	}
 }

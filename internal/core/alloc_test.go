@@ -110,6 +110,38 @@ func TestAllocGuardPlace(t *testing.T) {
 	}
 }
 
+// TestAllocGuardPlaceHullRebuild is TestAllocGuardPlace with one app's
+// access rate flipped between two values before every placement. The
+// Input's hull cache makes every warm call of TestAllocGuardPlace reuse its
+// hulls; here each call rebuilds that app's hull, in the backing its cache
+// entry already holds, so a rebuilding call may allocate no more than a
+// reusing one.
+func TestAllocGuardPlaceHullRebuild(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; guarded by the non-race CI step")
+	}
+	in, pl, _ := allocGuardPlacement()
+	app := in.BatchApps()[0]
+	rates := [2]float64{in.Apps[app].AccessRate, 1.5 * in.Apps[app].AccessRate}
+	for _, p := range []ScratchPlacer{JumanjiPlacer{}, JigsawPlacer{}, VMPartPlacer{}, IdealBatchPlacer{}} {
+		k := 0
+		flip := func() {
+			k ^= 1
+			in.Apps[app].AccessRate = rates[k]
+			p.PlaceInto(in, pl)
+		}
+		flip() // warm the scratch pool at both rates
+		flip()
+		allocs := testing.AllocsPerRun(50, flip)
+		reuse := testing.AllocsPerRun(50, func() { p.PlaceInto(in, pl) })
+		const maxAllocs = 12 // same budget as TestAllocGuardPlace
+		if allocs > maxAllocs || allocs > reuse {
+			t.Errorf("%s.PlaceInto rebuilding one hull allocated %v times per call, reusing it %v; want <= %v",
+				p.Name(), allocs, reuse, min(reuse, maxAllocs))
+		}
+	}
+}
+
 // TestAllocGuardProvenance pins the provenance sink's zero-overhead
 // contract: with the sink disabled (in.Prov == nil, the default), the
 // instrumented placers must stay within the same allocation budget as

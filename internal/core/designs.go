@@ -127,7 +127,7 @@ func (VMPartPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 // combined batch miss curve; the quantum is one way across all banks. It
 // returns the VMs' bytes in s.sizes. Scratch reuse keeps the per-epoch cost
 // flat: app lists and the combined curves come from s (the curves from its
-// arena).
+// arena, combined from the apps' cached hulls).
 func vmPartWays(in *Input, s *placeScratch, poolWays float64) []float64 {
 	way := wayStripeBytes(in)
 	s.vms = in.AppendVMs(s.vms[:0])
@@ -165,7 +165,7 @@ func vmPartWays(in *Input, s *placeScratch, poolWays float64) []float64 {
 	if lookahead.CanGrow(poolBytes, reqs) || in.Prov.Enabled() {
 		for i, vm := range s.batchVMs {
 			s.lat, s.batch = in.AppendAppsOf(s.lat[:0], s.batch[:0], vm)
-			reqs[i].Curve = combinedBatchCurveArena(s, in, s.batch)
+			reqs[i].Curve = combinedBatchHullArena(s, in, s.batch)
 		}
 	}
 	s.sizes = lookahead.AllocateInto(s.sizes[:0], poolBytes, reqs)

@@ -31,7 +31,9 @@ func (p IdealBatchPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	// The same safety valve as JumanjiPlacer: fleet-scale controller demand
 	// (dozens of latency-critical apps on a datacenter mesh) can exceed the
 	// LLC; scale the targets down and retry. The first attempt is the
-	// historical behaviour bit for bit.
+	// historical behaviour bit for bit. The retries place copies of in,
+	// which share the hull cache made on in itself.
+	in.hullCache()
 	scaled := *in
 	for attempt := 0; attempt < 16; attempt++ {
 		in.Prov.Attempt()
@@ -78,7 +80,7 @@ func (IdealBatchPlacer) place(in *Input, pl *Placement) bool {
 		}
 		vmList = append(vmList, vm)
 		reqs = append(reqs, lookahead.Request{
-			Curve: s.arena.ConvexHull(combinedBatchCurveArena(s, in, s.batch)),
+			Curve: s.arena.ConvexHull(combinedBatchHullArena(s, in, s.batch)),
 			Min:   in.Machine.BankBytes, // at least one overlay bank each
 			Step:  in.Machine.BankBytes,
 		})

@@ -57,7 +57,10 @@ func (p JumanjiPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	// Safety valve: if the controllers' demands make bank-granular VM
 	// isolation infeasible (more reserved banks than exist), scale the
 	// latency-critical sizes down and retry. This cannot occur with the
-	// controllers' default bounds; it guards pathological inputs.
+	// controllers' default bounds; it guards pathological inputs. The
+	// retries place copies of in, which share the hull cache made on in
+	// itself.
+	in.hullCache()
 	scaled := *in
 	for attempt := 0; attempt < 16; attempt++ {
 		in.Prov.Attempt()

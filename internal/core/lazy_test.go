@@ -203,6 +203,20 @@ func eagerVMPartWays(in *Input, s *placeScratch, poolWays float64) ([]float64, [
 	return lookahead.Allocate(poolBytes, reqs), vmsWithBatch, outcome{reached: true, grew: grew}
 }
 
+// combinedBatchCurveArena is VM-Part's and Ideal Batch's per-VM curve as
+// they built it before routing through appHull: each app's scaled curve
+// handed to mrc.CombineInto, which hulls every curve itself into pooled
+// scratch. The result is backed by s.arena.
+func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
+	curves := s.curves[:0]
+	for _, app := range batch {
+		spec := in.Apps[app]
+		curves = append(curves, spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate))
+	}
+	s.curves = curves
+	return s.arena.Combine(curves...)
+}
+
 // sharedPoolSplitMap is sharedPoolSplit as it was, keyed by AppID in a map
 // built afresh on every iteration.
 func sharedPoolSplitMap(in *Input, apps []AppID, poolBytes float64) map[AppID]float64 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"jumanji/internal/topo"
@@ -86,8 +87,12 @@ func (p *Placement) ensureApp(app AppID) {
 		return
 	}
 	n := int(app) + 1
-	for len(p.alloc) < n*p.banks {
-		p.alloc = append(p.alloc, 0)
+	// Grow the rows in one step: reslice within capacity (growing it once
+	// if short) and zero the new tail, which may hold values from before
+	// the last Reset.
+	if old, need := len(p.alloc), n*p.banks; old < need {
+		p.alloc = slices.Grow(p.alloc, need-old)[:need]
+		clear(p.alloc[old:])
 	}
 	for len(p.unpartitioned) < n {
 		p.unpartitioned = append(p.unpartitioned, false)

@@ -52,11 +52,11 @@ func recordBankPick(in *Input, stage string, vm VMID, chosen topo.TileID, owner 
 }
 
 // recordRegionChoice records the sharded wrapper's stage-1 decision for one
-// VM: every candidate region (Bank = region ID) with its hop distance and
-// why it lost, then the chosen region. Call it before regVMs/regFree are
-// updated for the choice, so the recorded availability is what the
-// assignment loop actually saw.
-func recordRegionChoice(in *Input, regs *topo.Regions, vm VMID, need int, chosen topo.RegionID, regVMs, regFree []int) {
+// VM, whose app cores are cores: every candidate region (Bank = region ID)
+// with its hop distance and why it lost, then the chosen region. Call it
+// before regVMs/regFree are updated for the choice, so the recorded
+// availability is what the assignment loop actually saw.
+func recordRegionChoice(in *Input, regs *topo.Regions, vm VMID, cores []topo.TileID, need int, chosen topo.RegionID, regVMs, regFree []int) {
 	m := in.Machine
 	in.Prov.Decision(obs.StageRegionAssign, int(vm), -1, false, float64(need)*m.BankBytes)
 	in.Prov.Score(obs.StageRegionAssign, int(vm), -1, float64(need))
@@ -64,7 +64,7 @@ func recordRegionChoice(in *Input, regs *topo.Regions, vm VMID, need int, chosen
 		if r == chosen {
 			continue
 		}
-		d := vmRegionDistance(in, regs, r, vm)
+		d := coresRegionDistance(regs, r, cores)
 		switch {
 		case regVMs[r] >= regs.Banks(r):
 			// No bank of its own left in the region: the per-VM bank
@@ -79,7 +79,7 @@ func recordRegionChoice(in *Input, regs *topo.Regions, vm VMID, need int, chosen
 		}
 	}
 	in.Prov.Placed(obs.StageRegionAssign, int(vm), -1, int(chosen),
-		vmRegionDistance(in, regs, chosen, vm), float64(need)*m.BankBytes)
+		coresRegionDistance(regs, chosen, cores), float64(need)*m.BankBytes)
 }
 
 // attachRegionProv gives a region sub-input a region-scoped sub-recorder

@@ -23,7 +23,7 @@ import (
 // site); the maps are retained and cleared. The arena is Reset once per
 // borrow, so arena-backed curves never outlive the placement that made them.
 // A borrow serves one placement of one Input: the hull slots are emptied at
-// borrow time and then filled from that Input by appHull.
+// borrow time and then filled from that Input's hull cache by appHull.
 type placeScratch struct {
 	arena    mrc.Arena
 	balance  []float64
@@ -89,23 +89,11 @@ func putPlaceScratch(s *placeScratch) {
 	placeScratchPool.Put(s)
 }
 
-// combinedBatchCurveArena builds the VM-combined absolute miss-rate curve
-// of batch using the Whirlpool model (Sec. VI-D), on the way grid, with every
-// intermediate and the result backed by s.arena (valid until the scratch is
-// returned). Its hulls live in mrc's pooled single-hull scratch, for placers
-// that read each app's hull only here.
-func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
-	curves := s.curves[:0]
-	for _, app := range batch {
-		spec := in.Apps[app]
-		curves = append(curves, spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate))
-	}
-	s.curves = curves
-	return s.arena.Combine(curves...)
-}
-
-// combinedBatchHullArena is combinedBatchCurveArena over the apps' kept
-// hulls (appHull), for placers that read those hulls again.
+// combinedBatchHullArena builds the VM-combined absolute miss-rate curve of
+// batch using the Whirlpool model (Sec. VI-D), on the way grid: the apps'
+// hulls (appHull) combined by mrc.CombineHullsInto, which gives
+// mrc.CombineInto's bits on the scaled curves. The result is backed by
+// s.arena (valid until the scratch is returned).
 func combinedBatchHullArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
 	curves := s.curves[:0]
 	for _, app := range batch {
@@ -116,9 +104,13 @@ func combinedBatchHullArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve
 }
 
 // appHull returns app's absolute miss-rate convex hull
-// (MissRateCurve().ConvexHull()) for the placement's Input, built in s.arena
-// on first use and kept in its slot for the rest of the borrow, so every
-// stage of the placement reads the same hull.
+// (MissRateCurve().ConvexHull()) for the placement's Input. The first call
+// of a borrow reads it from the Input's hull cache (Input.hullCache), which
+// rebuilds it only when the app's curve or access rate changed bits since
+// the cache last built it; the slot keeps it for the rest of the borrow, so
+// every stage of the placement reads the same hull and the bits are checked
+// once per placement. Every placer hulls each app at most once per
+// placement this way.
 //
 // The hull pass stays although internal/system already hands the placers
 // hulls: a hull resampled through float arithmetic is not a fixed point of
@@ -130,9 +122,7 @@ func (s *placeScratch) appHull(in *Input, app AppID) mrc.Curve {
 	if h := s.hulls[app]; h.M != nil {
 		return h
 	}
-	spec := in.Apps[app]
-	mr := spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)
-	h := s.arena.ConvexHull(mr)
+	h := in.hullCache().hull(in.Apps[app], app, &s.arena)
 	s.hulls[app] = h
 	return h
 }

@@ -181,6 +181,9 @@ type shardScratch struct {
 	region []topo.RegionID // per VM index: assigned region
 	order  []int32         // VM indices, neediest first
 
+	cores     []topo.TileID // every VM's app cores, VM by VM in s.vms order
+	coreStart []int32       // per VM index: its cores' start in cores, then len(cores)
+
 	regVMs  []int // per region: VMs assigned
 	regFree []int // per region: banks not yet spoken for
 
@@ -324,9 +327,23 @@ func assignNeediestFirst(in *Input, regs *topo.Regions, s *shardScratch) {
 	}
 	s.region = s.region[:len(vms)]
 
+	// Each VM's cores, gathered once: the region choice below weighs every
+	// (VM, region) pair.
+	s.cores, s.coreStart = s.cores[:0], s.coreStart[:0]
+	for _, vm := range vms {
+		s.coreStart = append(s.coreStart, int32(len(s.cores)))
+		for _, a := range in.Apps {
+			if a.VM == vm {
+				s.cores = append(s.cores, a.Core)
+			}
+		}
+	}
+	s.coreStart = append(s.coreStart, int32(len(s.cores)))
+
 	for _, vi := range order {
 		vm := vms[vi]
 		need := s.need[vi]
+		cores := s.cores[s.coreStart[vi]:s.coreStart[vi+1]]
 		// First choice: nearest region with enough free banks. Fallback: the
 		// count-feasible region with the most free banks (every VM needs at
 		// least one bank of its own, so regVMs < Banks must hold — and by
@@ -337,7 +354,7 @@ func assignNeediestFirst(in *Input, regs *topo.Regions, s *shardScratch) {
 			if s.regVMs[r] >= regs.Banks(r) {
 				continue
 			}
-			d := vmRegionDistance(in, regs, r, vm)
+			d := coresRegionDistance(regs, r, cores)
 			if s.regFree[r] >= need {
 				if best < 0 || d < bestDist {
 					best, bestDist = r, d
@@ -358,7 +375,7 @@ func assignNeediestFirst(in *Input, regs *topo.Regions, s *shardScratch) {
 			if fellBack {
 				in.Prov.Valve(obs.ValveRegionFallback, int(vm), 0, 0, "no nearby region had enough free banks")
 			}
-			recordRegionChoice(in, regs, vm, need, best, s.regVMs, s.regFree)
+			recordRegionChoice(in, regs, vm, cores, need, best, s.regVMs, s.regFree)
 		}
 		s.region[vi] = best
 		s.regVMs[best]++
@@ -392,15 +409,13 @@ func entitlementCurve(in *Input, s *shardScratch, batch []AppID) mrc.Curve {
 	return s.arena.ConvexHull(s.arena.Combine(curves...))
 }
 
-// vmRegionDistance is the total hop distance from vm's cores to region r —
-// the locality objective VM assignment minimizes. Integer accumulation in
-// app order, so it is exactly deterministic.
-func vmRegionDistance(in *Input, regs *topo.Regions, r topo.RegionID, vm VMID) int {
+// coresRegionDistance is the total hop distance from a VM's cores to region
+// r — the locality objective VM assignment minimizes. It sums integers, so
+// it is exact in any order.
+func coresRegionDistance(regs *topo.Regions, r topo.RegionID, cores []topo.TileID) int {
 	d := 0
-	for _, a := range in.Apps {
-		if a.VM == vm {
-			d += regs.Distance(r, a.Core)
-		}
+	for _, c := range cores {
+		d += regs.Distance(r, c)
 	}
 	return d
 }

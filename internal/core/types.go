@@ -71,6 +71,13 @@ func (m Machine) TotalBytes() float64 { return m.BankBytes * float64(m.Banks()) 
 func (m Machine) WayBytes() float64 { return m.BankBytes / float64(m.WaysPerBank) }
 
 // Input is everything a placer needs for one reconfiguration epoch.
+//
+// An Input also carries its apps' hull cache: the placers keep each app's
+// absolute miss-rate hull on it between placements and reuse it while the
+// app's curve and access rate keep their bits, so a caller that places the
+// same Input epoch after epoch (as internal/system's runner does) hulls only
+// the apps whose inputs changed. One goroutine places an Input at a time; a
+// copy of an Input shares its cache.
 type Input struct {
 	Machine Machine
 	Apps    []AppSpec
@@ -83,6 +90,8 @@ type Input struct {
 	// hoist in.Prov.Enabled() and skip all record building when off, so
 	// disabled runs stay allocation-free and byte-identical.
 	Prov *obs.ProvRecorder
+
+	hulls *appHulls // per-app hull cache (hullCache), nil until first placed
 }
 
 // Validate checks internal consistency; placers call it on entry.

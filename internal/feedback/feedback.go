@@ -17,9 +17,9 @@ package feedback
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"jumanji/internal/obs"
+	"jumanji/internal/stats"
 )
 
 // Params are the controller's tuning knobs with the paper's bolded defaults.
@@ -171,10 +171,11 @@ func (c *Controller) RequestCompleted(latency float64) (size float64, changed bo
 	return c.Update(tail), true
 }
 
-// upperNearestRank returns the ceil(p%)-th order statistic of xs.
-// It reorders xs; callers discard the window afterwards.
+// upperNearestRank returns the ceil(p%)-th order statistic of xs, bitwise
+// what sorting xs and indexing gives: stats.OrderStat selects it in place
+// (and sorts when the window holds a NaN or a ±0). It reorders xs; callers
+// discard the window afterwards.
 func upperNearestRank(xs []float64, p float64) float64 {
-	sort.Float64s(xs)
 	idx := int(math.Ceil(p/100*float64(len(xs)))) - 1
 	if idx < 0 {
 		idx = 0
@@ -182,7 +183,7 @@ func upperNearestRank(xs []float64, p float64) float64 {
 	if idx >= len(xs) {
 		idx = len(xs) - 1
 	}
-	return xs[idx]
+	return stats.OrderStat(xs, idx)
 }
 
 // Update applies one controller decision for an observed tail latency and

@@ -20,16 +20,34 @@ func curveFromBytes(data []byte) []float64 {
 	return pts
 }
 
-// FuzzConvexHull checks the hull invariants on arbitrary curves: convex,
-// non-increasing, pointwise at or below the monotone curve, endpoints
-// anchored.
+// FuzzConvexHull checks ConvexHullInto, IsConvex and resampleHull bitwise
+// against their references (convexHullRef, isConvexRef, resampleHullRef)
+// on arbitrary curves: bytes 251-255 decode to a negative point, −0, −Inf,
+// +Inf and NaN (hullCurveFromBytes), a non-zero scale multiplies the curve
+// by scale/16 first (an access-rate-scaled curve, as the placers hull), and
+// alias hulls the curve into its own backing (the fallback that keeps the
+// input intact). On finite non-negative curves it also checks the hull
+// invariants: convex, non-increasing, pointwise at or below the monotone
+// curve, endpoints anchored.
 func FuzzConvexHull(f *testing.F) {
-	f.Add([]byte{100, 100, 100, 0})
-	f.Add([]byte{50, 60, 10, 10, 5})
-	f.Add([]byte{0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := New(1, curveFromBytes(data))
-		h := c.ConvexHull()
+	f.Add([]byte{100, 100, 100, 0}, uint8(0), false)
+	f.Add([]byte{50, 60, 10, 10, 5}, uint8(0), false)
+	f.Add([]byte{0}, uint8(0), false)
+	f.Add([]byte{30, 40}, uint8(0), true)
+	f.Add([]byte{200, 150, 150, 20, 19, 0}, uint8(37), false)
+	f.Add([]byte{90, 255, 40, 30, 10}, uint8(16), true)
+	f.Add([]byte{254, 80, 252, 253, 10, 251}, uint8(3), false)
+	f.Fuzz(func(t *testing.T, data []byte, scale uint8, alias bool) {
+		c := Curve{Unit: 1, M: hullCurveFromBytes(data)}
+		if scale > 0 {
+			c = c.ScaleInto(make([]float64, len(c.M)), float64(scale)/16)
+		}
+		h := checkHullKernels(t, c, alias)
+		for _, v := range c.M {
+			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
+		}
 		mono := c.Monotone()
 		if !h.IsConvex(1e-9) {
 			t.Fatalf("hull not convex: in=%v out=%v", c.M, h.M)

@@ -44,10 +44,10 @@ func (c Curve) ScaleInto(dst []float64, f float64) Curve {
 
 // ConvexHullInto computes the lower convex hull (see ConvexHull) into dst and
 // returns a curve backed by the result. dst must have exactly len(c.M)
-// elements. The transform runs monotone and resample passes in place, so the
-// result must not share backing with the input: if dst is the receiver's own
-// M, a fresh slice is allocated instead and the receiver stays intact — the
-// returned curve never aliases the input.
+// elements. The resample pass writes dst in place, so the result must not
+// share backing with the input: if dst is the receiver's own M, a fresh
+// slice is allocated instead and the receiver stays intact — the returned
+// curve never aliases the input.
 func (c Curve) ConvexHullInto(dst []float64) Curve {
 	n := len(c.M)
 	if len(dst) != n {
@@ -59,39 +59,54 @@ func (c Curve) ConvexHullInto(dst []float64) Curve {
 	if &dst[0] == &c.M[0] {
 		dst = make([]float64, n) // alloc: ok (src==dst fallback keeps the input intact)
 	}
-	// Monotone pass into dst: same recurrence as Monotone, private backing.
-	dst[0] = c.M[0]
-	for i := 1; i < n; i++ {
-		dst[i] = c.M[i]
-		if dst[i] > dst[i-1] {
-			dst[i] = dst[i-1]
+	out := Curve{Unit: c.Unit, M: dst}
+	// Each point's monotone value follows Monotone's recurrence: it takes
+	// the previous value when it is larger (a NaN point stays NaN, and the
+	// point after it is kept as it is).
+	m0, m1 := c.M[0], c.M[0]
+	if n > 1 {
+		if m1 = c.M[1]; m1 > m0 {
+			m1 = m0
 		}
 	}
-	out := Curve{Unit: c.Unit, M: dst}
 	if n <= 2 {
+		// The hull of one or two points is their monotone curve.
+		dst[0] = m0
+		if n == 2 {
+			dst[1] = m1
+		}
 		return out
 	}
-	// Andrew's monotone chain over points (i, M[i]), keeping the lower hull.
-	// The vertex stack is pooled scratch — it reaches its high-water mark on
-	// the first large curve and is reused for every hull afterwards.
+	// One pass feeds each monotone value straight into Andrew's monotone
+	// chain over (i, M[i]), which keeps the lower hull. The stack's top two
+	// vertices are kept in a and b as well, so the pop test reads no memory.
+	// The stack is pooled scratch: it reaches its high-water mark on the
+	// first large curve and is reused for every hull afterwards.
 	hp := hullPtsPool.Get().(*[]pt)
-	hull := (*hp)[:0]
-	for i := 0; i < n; i++ {
-		p := pt{float64(i), dst[i]}
-		for len(hull) >= 2 {
-			a, b := hull[len(hull)-2], hull[len(hull)-1]
-			// Remove b if it lies on or above segment a-p (non-convex turn).
-			if (b.y-a.y)*(p.x-a.x) >= (p.y-a.y)*(b.x-a.x) {
-				hull = hull[:len(hull)-1]
-			} else {
+	a, b := pt{0, m0}, pt{1, m1}
+	hull := append((*hp)[:0], a, b)
+	prev := m1
+	for i := 2; i < n; i++ {
+		y := c.M[i]
+		if y > prev {
+			y = prev
+		}
+		prev = y
+		p := pt{float64(i), y}
+		// Pop b while it lies on or above segment a-p (non-convex turn).
+		for (b.y-a.y)*(p.x-a.x) >= (p.y-a.y)*(b.x-a.x) {
+			hull = hull[:len(hull)-1]
+			b = a
+			if len(hull) < 2 {
 				break
 			}
+			a = hull[len(hull)-2]
 		}
 		hull = append(hull, p)
+		a, b = b, p
 	}
-	// Re-sample the hull back onto the original grid, writing over dst in
-	// place: the hull vertices hold their own y values, so dst is no longer
-	// read.
+	// Re-sample the hull back onto the original grid: the hull vertices
+	// hold their own y values, so dst is written but never read.
 	resampleHull(dst, hull)
 	*hp = hull
 	hullPtsPool.Put(hp)
@@ -99,22 +114,32 @@ func (c Curve) ConvexHullInto(dst []float64) Curve {
 }
 
 // resampleHull writes the piecewise-linear hull back onto the integer grid
-// 0..len(dst)-1. Shared by ConvexHullInto and HullUpdater so both produce
-// bitwise-identical output.
+// 0..len(dst)-1, one segment at a time: the grid points from a segment's
+// left vertex up to its right one take that segment's interpolation, and
+// the last segment takes every point from its left vertex to the end of
+// dst. The hull's x values are strictly increasing integers, its first at 0
+// and its last at len(dst)-1, as the monotone chain leaves them. Shared by
+// ConvexHullInto and HullUpdater so both produce bitwise-identical output.
 func resampleHull(dst []float64, hull []pt) {
-	seg := 0
-	for i := range dst {
-		x := float64(i)
-		for seg < len(hull)-2 && hull[seg+1].x <= x {
-			seg++
+	last := len(hull) - 1
+	if last == 0 {
+		for i := range dst {
+			dst[i] = hull[0].y
 		}
-		a, b := hull[seg], hull[min(seg+1, len(hull)-1)]
-		if a.x == b.x {
-			dst[i] = a.y
-			continue
+		return
+	}
+	i := 0
+	for k := 0; k < last; k++ {
+		a, b := hull[k], hull[k+1]
+		end := int(b.x)
+		if k == last-1 {
+			end = len(dst)
 		}
-		t := (x - a.x) / (b.x - a.x)
-		dst[i] = a.y + t*(b.y-a.y)
+		dx, dy := b.x-a.x, b.y-a.y
+		for ; i < end; i++ {
+			t := (float64(i) - a.x) / dx
+			dst[i] = a.y + t*dy
+		}
 	}
 }
 

@@ -157,17 +157,23 @@ func (c Curve) ConvexHull() Curve {
 // IsConvex reports whether the curve is convex (discrete second differences
 // all >= -eps) and non-increasing.
 func (c Curve) IsConvex(eps float64) bool {
-	for i := 1; i < len(c.M); i++ {
-		if c.M[i] > c.M[i-1]+eps {
+	m := c.M
+	if len(m) < 2 {
+		return true
+	}
+	if m[1] > m[0]+eps {
+		return false
+	}
+	d1 := m[1] - m[0]
+	for i := 2; i < len(m); i++ {
+		if m[i] > m[i-1]+eps {
 			return false
 		}
-	}
-	for i := 2; i < len(c.M); i++ {
-		d1 := c.M[i-1] - c.M[i-2]
-		d2 := c.M[i] - c.M[i-1]
+		d2 := m[i] - m[i-1]
 		if d2 < d1-eps {
 			return false
 		}
+		d1 = d2
 	}
 	return true
 }
@@ -216,11 +222,4 @@ func combinedLen(curves []Curve) int {
 		n += len(c.M) - 1
 	}
 	return n
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

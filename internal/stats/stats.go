@@ -17,13 +17,10 @@ import (
 // since a percentile of nothing is a programming error in the callers of this
 // package.
 //
-// The result is bitwise what sorting a copy and interpolating gives, but
-// Percentile selects its one or two order statistics in linear expected
-// time instead of sorting. A selection fixes the value at a rank, not which
-// of several equal values lands there; that is the same bits for every
-// value except ±0, which compare equal, and NaN, which compares unequal to
-// everything. Inputs holding either keep the sort (sort.Float64s), so even
-// the sign of a zero result matches it.
+// The result is bitwise what sorting a copy and interpolating gives: the
+// lower order statistic comes from OrderStat, which selects it in linear
+// expected time instead of sorting (and sorts when the values hold a NaN or
+// a ±0), and the upper one is the smallest value OrderStat left after it.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: Percentile of empty slice")
@@ -35,23 +32,38 @@ func Percentile(xs []float64, p float64) float64 {
 		return xs[0]
 	}
 	work := make([]float64, len(xs))
-	sortable := false
-	for i, x := range xs {
-		work[i] = x
-		sortable = sortable || x != x || x == 0
-	}
-	if sortable {
-		sort.Float64s(work)
-		return percentileSorted(work, p)
-	}
+	copy(work, xs)
 	lo, hi, frac := closestRanks(len(work), p)
-	selectRank(work, lo)
+	v := OrderStat(work, lo)
 	if lo == hi {
-		return work[lo]
+		return v
 	}
-	// Selection left every larger order statistic after lo, so the next one
+	// OrderStat left every larger order statistic after lo, so the next one
 	// is the smallest of them.
-	return lerp(work[lo], Min(work[lo+1:]), frac)
+	return lerp(v, Min(work[lo+1:]), frac)
+}
+
+// OrderStat returns the k-th smallest value of xs, counting from 0: bitwise
+// the value sort.Float64s would put at xs[k]. It reorders xs, leaving xs[k]
+// there, no value before it that sorts after it and none after it that
+// sorts before it. It selects in linear expected time (selectRank) unless
+// xs holds a NaN or a ±0. A selection fixes the value at a rank, not which
+// of several equal values lands there; that is the same bits for every
+// value except ±0, which compare equal, and NaN, which compares unequal to
+// everything, so for those OrderStat sorts xs (sort.Float64s) and even the
+// sign of a zero result matches the sort. It panics if k is out of range.
+func OrderStat(xs []float64, k int) float64 {
+	if k < 0 || k >= len(xs) {
+		panic(fmt.Sprintf("stats: order statistic %d of %d values", k, len(xs)))
+	}
+	for _, x := range xs {
+		if x != x || x == 0 {
+			sort.Float64s(xs)
+			return xs[k]
+		}
+	}
+	selectRank(xs, k)
+	return xs[k]
 }
 
 // percentileSorted computes the percentile of an already-sorted slice.

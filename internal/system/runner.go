@@ -517,7 +517,10 @@ func buildQueueControllers(cfg Config, apps []*appState) map[core.AppID]*feedbac
 }
 
 // buildInput assembles the placer input for one epoch, reusing prev's
-// backing storage when non-nil (placers do not retain their input). A
+// backing storage when non-nil. The placers retain no part of the input
+// they return a placement for, but they keep its apps' hull cache on it
+// (core.Input): reusing one Input for the whole run lets each placement
+// reuse the hulls of apps whose curve and access rate kept their bits. A
 // non-nil fixedLat pins every latency-critical allocation instead of the
 // controllers.
 func buildInput(cfg Config, apps []*appState, ctrls map[core.AppID]*feedback.Controller, qctrls map[core.AppID]*feedback.QueueController, fixedLat *float64, prev *core.Input) *core.Input {

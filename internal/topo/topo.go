@@ -7,10 +7,7 @@
 // different Topology implementation slots in without touching the placers.
 package topo
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // TileID identifies a tile; cores and LLC banks are co-located per tile,
 // so TileID doubles as both a core ID and a bank ID.
@@ -50,9 +47,10 @@ func NewMesh(w, h int) Mesh {
 	n := m.Tiles()
 	tab := &distTable{order: make([][]TileID, n)}
 	flat := make([]TileID, n*n) // one backing array for all rows
+	start := make([]int, w+h)   // sortBanksByDistance's buckets, shared by the rows
 	for from := 0; from < n; from++ {
 		row := flat[from*n : (from+1)*n : (from+1)*n]
-		m.sortBanksByDistance(row, TileID(from))
+		m.sortBanksByDistance(row, TileID(from), start)
 		tab.order[from] = row
 	}
 	m.tab = tab
@@ -130,7 +128,7 @@ func (m Mesh) BanksByDistance(from TileID) []TileID {
 		copy(banks, m.tab.order[from])
 		return banks
 	}
-	m.sortBanksByDistance(banks, from)
+	m.sortBanksByDistance(banks, from, nil)
 	return banks
 }
 
@@ -145,24 +143,42 @@ func (m Mesh) BanksByDistanceView(from TileID) []TileID {
 		return m.tab.order[from]
 	}
 	banks := make([]TileID, m.Tiles())
-	m.sortBanksByDistance(banks, from)
+	m.sortBanksByDistance(banks, from, nil)
 	return banks
 }
 
-// sortBanksByDistance fills banks (length Tiles()) with all tile IDs sorted
-// by hop distance from `from`, ties by ID. (hops, id) is a total order, so
-// the unstable sort.Slice yields a unique — hence deterministic — permutation.
-func (m Mesh) sortBanksByDistance(banks []TileID, from TileID) {
-	for i := range banks {
-		banks[i] = TileID(i)
+// sortBanksByDistance fills banks (length Tiles()) with all tile IDs ordered
+// by hop distance from `from`, ties by ID, by a counting sort over hop
+// distances: the tiles at each distance are counted, the counts give each
+// distance's first slot, and a scan of the IDs in ascending order drops each
+// into its distance's next slot, which leaves every distance's tiles in ID
+// order. start is scratch of at least W+H elements; nil allocates it.
+func (m Mesh) sortBanksByDistance(banks []TileID, from TileID, start []int) {
+	f := m.Coord(from)
+	if start == nil {
+		start = make([]int, m.W+m.H)
 	}
-	sort.Slice(banks, func(i, j int) bool {
-		di, dj := m.Hops(from, banks[i]), m.Hops(from, banks[j])
-		if di != dj {
-			return di < dj
+	// start[d+1] counts the tiles d hops away; the prefix sum then turns
+	// start[d] into the first slot of distance d.
+	start = start[:m.W+m.H]
+	clear(start)
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			start[abs(x-f.X)+abs(y-f.Y)+1]++
 		}
-		return banks[i] < banks[j]
-	})
+	}
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	id := TileID(0)
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			d := abs(x-f.X) + abs(y-f.Y)
+			banks[start[d]] = id
+			start[d]++
+			id++
+		}
+	}
 }
 
 // Corners returns the four corner tiles of the mesh in the order
