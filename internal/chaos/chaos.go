@@ -110,7 +110,7 @@ func (in *Injector) Arm(f Fault, rate float64) *Injector {
 	if !known(f) {
 		panic(fmt.Sprintf("chaos: unknown fault %q", f))
 	}
-	if rate <= 0 || rate > 1 {
+	if !(rate > 0 && rate <= 1) {
 		panic(fmt.Sprintf("chaos: fault %q rate %g outside (0, 1]", f, rate))
 	}
 	in.arms[f] = arm{rate: rate}
@@ -203,7 +203,9 @@ func Parse(spec string, seed int64) (*Injector, error) {
 		}
 		if name, val, ok := strings.Cut(part, "@"); ok {
 			rate, err := strconv.ParseFloat(val, 64)
-			if err != nil || rate <= 0 || rate > 1 {
+			// Negated so that NaN, which no comparison admits, is refused
+			// too: a NaN rate would arm a fault that never fires.
+			if err != nil || !(rate > 0 && rate <= 1) {
 				return nil, fmt.Errorf("chaos: bad rate in %q (want fault@rate with rate in (0, 1])", part)
 			}
 			if !known(Fault(name)) {

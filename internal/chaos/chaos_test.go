@@ -180,6 +180,8 @@ func TestParseErrors(t *testing.T) {
 		"curve-nan",          // no rate or key
 		"curve-nan@0",        // rate out of range
 		"curve-nan@1.5",      // rate out of range
+		"curve-nan@NaN",      // NaN rate, which would never fire
+		"panic-cell@nan",     // NaN rate, any spelling
 		"curve-nan@x",        // not a number
 		"panic-cell=x",       // not an integer
 		"no-such-fault@0.5",  // unknown fault
@@ -205,4 +207,44 @@ func TestPickInRange(t *testing.T) {
 	if len(seen) < 4 {
 		t.Fatalf("Pick hit only %d of 8 values over 200 sites", len(seen))
 	}
+}
+
+// FuzzChaosParse feeds Parse arbitrary -chaos specs, an outside input on
+// figures, jumanji-sim and jumanji-serve. Parse must never panic; a spec it
+// accepts must arm only known faults, each with a rate in (0, 1] or a
+// pinned key; and the accepted injector's String() must parse back to an
+// injector with the same String(), since repro commands are rendered from
+// it.
+func FuzzChaosParse(f *testing.F) {
+	for _, spec := range []string{
+		"", " , ", "curve-nan@0.25,panic-cell=7", "curve-nan@NaN", "panic-cell@nan",
+		"curve-nan@0x1p-2", "panic-cell=+3", "panic-cell=-9223372036854775808",
+		"curve-nan@5e-324", "curve-nan@1,curve-nan=2", "serve-panic-cell@1.0000000000000001",
+		"no-such-fault@0.5", "curve-nan@0.5,,bad", "reconfig-drop@Inf", "=3", "@0.5",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec, 1)
+		if err != nil {
+			return
+		}
+		if in != nil {
+			for fault, a := range in.arms {
+				if !known(fault) {
+					t.Fatalf("Parse(%q) armed unknown fault %q", spec, fault)
+				}
+				if !a.pinned && !(a.rate > 0 && a.rate <= 1) {
+					t.Fatalf("Parse(%q) armed %s at rate %v, outside (0, 1]", spec, fault, a.rate)
+				}
+			}
+		}
+		again, err := Parse(in.String(), 1)
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse: %v", spec, in.String(), err)
+		}
+		if again.String() != in.String() {
+			t.Fatalf("Parse(%q).String() = %q re-parses to %q", spec, in.String(), again.String())
+		}
+	})
 }

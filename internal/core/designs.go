@@ -11,10 +11,10 @@ import (
 // (Sec. VII): each latency-critical application is allocated four ways of
 // the LLC via way-partitioning, and all batch applications share the
 // remaining ways unpartitioned. S-NUCA: everything striped over all banks.
-type StaticPlacer struct {
-	// LatCritWays is the fixed per-LC-app way allocation (default 4).
-	LatCritWays int
-}
+type StaticPlacer struct{}
+
+// latCritWays is Static's fixed per-LC-app way allocation.
+const latCritWays = 4
 
 // Name implements Placer.
 func (StaticPlacer) Name() string { return "Static" }
@@ -27,10 +27,6 @@ func (s StaticPlacer) Place(in *Input) *Placement {
 // PlaceInto implements ScratchPlacer.
 func (s StaticPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	mustValidate(in)
-	ways := s.LatCritWays
-	if ways == 0 {
-		ways = 4
-	}
 	pl.Reset(in.Machine)
 	sc := getPlaceScratch(in)
 	defer putPlaceScratch(sc)
@@ -41,14 +37,14 @@ func (s StaticPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	// split the ways left after the batch pool's one-way reserve equally
 	// instead. The exact historical behaviour is kept whenever the fixed
 	// allocation fits.
-	waysPerApp := float64(ways)
+	waysPerApp := float64(latCritWays)
 	if avail := float64(in.Machine.WaysPerBank - 1); waysPerApp*float64(len(lat)) > avail {
 		if avail <= 0 {
-			panic(fmt.Sprintf("core: Static design has no ways left for batch (%d LC apps × %d ways)", len(lat), ways))
+			panic(fmt.Sprintf("core: Static design has no ways left for batch (%d LC apps × %d ways)", len(lat), latCritWays))
 		}
 		waysPerApp = avail / float64(len(lat))
 		if in.Prov.Enabled() {
-			in.Prov.Valve(obs.ValveStaticWayRescale, -1, 0, waysPerApp/float64(ways), "")
+			in.Prov.Valve(obs.ValveStaticWayRescale, -1, 0, waysPerApp/float64(latCritWays), "")
 		}
 	}
 	usedWays := 0.0
@@ -238,10 +234,10 @@ func wayStripeBytes(in *Input) float64 {
 }
 
 // mustShareUnit panics unless vm's batch miss curves share one Unit, which
-// combining them requires (mrc.Combine panics on a mismatch). VM-Part and
-// Jumanji check it up front because they combine a VM's curves only when
-// lookahead can use them. Like Combine, it compares every unit with the
-// first, the first included, so a NaN unit fails too.
+// combining them requires (mrc.CombineHullsInto panics on a mismatch).
+// VM-Part and Jumanji check it up front because they combine a VM's curves
+// only when lookahead can use them. Like the combine, it compares every
+// unit with the first, the first included, so a NaN unit fails too.
 func mustShareUnit(in *Input, vm VMID, batch []AppID) {
 	unit := in.Apps[batch[0]].MissRatio.Unit
 	for _, app := range batch {

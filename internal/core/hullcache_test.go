@@ -227,8 +227,8 @@ func TestHullCacheShrinkRetriesAndFold(t *testing.T) {
 }
 
 // TestIdealBatchCurvesMatchCombineInto pins Ideal Batch's per-VM curve,
-// now the hull of the apps' cached hulls combined by CombineHullsInto, to
-// the hull of mrc.CombineInto over their scaled curves it was before.
+// the hull of the apps' cached hulls combined by CombineHullsInto, to the
+// hull of the combination of their scaled curves hulled afresh.
 func TestIdealBatchCurvesMatchCombineInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, in := range []*Input{testWorkload(4, 4, rng), testWorkload(2, 8, rng), fleetInput(t, 8, 7)} {

@@ -214,7 +214,7 @@ func jumanjiLookahead(in *Input, pl *Placement, s *placeScratch) ([]float64, err
 		if len(batch) > 0 {
 			mustShareUnit(in, vm, batch)
 		}
-		r := lookahead.BankGranularRequest(mrc.Curve{}, 1, latOf[vm], m.BankBytes)
+		r := lookahead.BankGranularRequest(latOf[vm], m.BankBytes)
 		// A VM whose latency-critical data lands exactly on a bank boundary
 		// would start with zero batch space; its batch applications still
 		// need a way each, so step the minimum to the next feasible point.

@@ -205,16 +205,16 @@ func eagerVMPartWays(in *Input, s *placeScratch, poolWays float64) ([]float64, [
 
 // combinedBatchCurveArena is VM-Part's and Ideal Batch's per-VM curve as
 // they built it before routing through appHull: each app's scaled curve
-// handed to mrc.CombineInto, which hulls every curve itself into pooled
-// scratch. The result is backed by s.arena.
+// hulled afresh, then the hulls combined. The result is backed by s.arena.
 func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
 	curves := s.curves[:0]
 	for _, app := range batch {
 		spec := in.Apps[app]
-		curves = append(curves, spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate))
+		scaled := spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)
+		curves = append(curves, s.arena.ConvexHull(scaled))
 	}
 	s.curves = curves
-	return s.arena.Combine(curves...)
+	return s.arena.CombineHulls(curves...)
 }
 
 // sharedPoolSplitMap is sharedPoolSplit as it was, keyed by AppID in a map
@@ -319,7 +319,8 @@ func eagerJumanjiLookahead(in *Input, pl *Placement, s *placeScratch) ([]float64
 		if len(batch) > 0 {
 			curve = s.arena.ConvexHull(combinedBatchHullArena(s, in, batch))
 		}
-		r := lookahead.BankGranularRequest(curve, 1, latOf[vm], m.BankBytes)
+		r := lookahead.BankGranularRequest(latOf[vm], m.BankBytes)
+		r.Curve = curve
 		if len(batch) > 0 && r.Min < in.Machine.WayBytes()*float64(len(batch)) {
 			r.Min += m.BankBytes
 		}
@@ -403,11 +404,12 @@ func eagerVMBankNeeds(in *Input, s *shardScratch) outcome {
 				for k := range d.M {
 					d.M[k] = spec.MissRatio.Eval(float64(k)*m.BankBytes) * spec.AccessRate
 				}
-				curves = append(curves, d)
+				curves = append(curves, s.arena.ConvexHull(d))
 			}
-			curve = s.arena.ConvexHull(s.arena.Combine(curves...))
+			curve = s.arena.ConvexHull(s.arena.CombineHulls(curves...))
 		}
-		r := lookahead.BankGranularRequest(curve, 1, lat, m.BankBytes)
+		r := lookahead.BankGranularRequest(lat, m.BankBytes)
+		r.Curve = curve
 		if len(batch) > 0 && r.Min < wayBytes*float64(len(batch)) {
 			r.Min += m.BankBytes
 		}

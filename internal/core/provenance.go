@@ -97,8 +97,7 @@ func attachRegionProv(in *Input, regs *topo.Regions, r topo.RegionID, rs *region
 
 // adoptRegionProv folds a region sub-recorder back into the parent and
 // detaches it from the pooled sub-input. Callers adopt regions in
-// ascending order (the merge order), keeping the flushed stream identical
-// between serial and parallel region placement.
+// ascending order (the merge order).
 func adoptRegionProv(in *Input, rs *regionScratch) {
 	if rs.in.Prov == nil {
 		return

@@ -91,8 +91,7 @@ func putPlaceScratch(s *placeScratch) {
 
 // combinedBatchHullArena builds the VM-combined absolute miss-rate curve of
 // batch using the Whirlpool model (Sec. VI-D), on the way grid: the apps'
-// hulls (appHull) combined by mrc.CombineHullsInto, which gives
-// mrc.CombineInto's bits on the scaled curves. The result is backed by
+// hulls (appHull) combined by mrc.CombineHullsInto. The result is backed by
 // s.arena (valid until the scratch is returned).
 func combinedBatchHullArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
 	curves := s.curves[:0]
@@ -103,14 +102,14 @@ func combinedBatchHullArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve
 	return s.arena.CombineHulls(curves...)
 }
 
-// appHull returns app's absolute miss-rate convex hull
-// (MissRateCurve().ConvexHull()) for the placement's Input. The first call
-// of a borrow reads it from the Input's hull cache (Input.hullCache), which
-// rebuilds it only when the app's curve or access rate changed bits since
-// the cache last built it; the slot keeps it for the rest of the borrow, so
-// every stage of the placement reads the same hull and the bits are checked
-// once per placement. Every placer hulls each app at most once per
-// placement this way.
+// appHull returns app's absolute miss-rate convex hull (its miss-ratio
+// curve scaled by its access rate, then hulled) for the placement's Input.
+// The first call of a borrow reads it from the Input's hull cache
+// (Input.hullCache), which rebuilds it only when the app's curve or access
+// rate changed bits since the cache last built it; the slot keeps it for
+// the rest of the borrow, so every stage of the placement reads the same
+// hull and the bits are checked once per placement. Every placer hulls
+// each app at most once per placement this way.
 //
 // The hull pass stays although internal/system already hands the placers
 // hulls: a hull resampled through float arithmetic is not a fixed point of

@@ -32,9 +32,8 @@ import (
 //
 // The flat algorithms are superlinear in banks×apps, so sharding turns one
 // O((R·b)^k) placement into R placements of O(b^k): near-linear in regions.
-// Region placements share no state and can run in parallel (Parallel), but
-// the merge is always serial in ascending region order so results are
-// byte-identical either way.
+// Regions are placed one after another and merged in ascending region
+// order.
 //
 // With a single region the pipeline reduces to the identity mapping — the
 // sub-input equals the input — so the result is bitwise-identical to running
@@ -47,9 +46,6 @@ type ShardedPlacer struct {
 	// default to DefaultRegionDim. Values larger than the mesh clamp to it
 	// (one region = flat placement).
 	RegionW, RegionH int
-	// Parallel runs region placements on separate goroutines. Output is
-	// identical; only wall-clock changes.
-	Parallel bool
 }
 
 // DefaultRegionDim is the default region edge. 4×4 regions hold a handful of
@@ -105,66 +101,19 @@ func (p ShardedPlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	assignVMsToRegions(in, regs, s)
 
 	pl.Reset(in.Machine)
-	if p.Parallel && regs.NumRegions() > 1 {
-		p.placeRegionsParallel(in, regs, s, pl)
-	} else {
-		rs := getRegionScratch()
-		for r := topo.RegionID(0); int(r) < regs.NumRegions(); r++ {
-			if s.regVMs[r] == 0 {
-				continue
-			}
-			buildRegionInput(in, regs, r, s, rs)
-			attachRegionProv(in, regs, r, rs)
-			p.inner().PlaceInto(&rs.in, rs.pl)
-			adoptRegionProv(in, rs)
-			mergeRegion(pl, regs, r, rs)
-		}
-		putRegionScratch(rs)
-	}
-	return pl
-}
-
-// placeRegionsParallel runs each non-empty region's placement on its own
-// goroutine, then merges serially in ascending region order — the merge
-// order, not the completion order, determines the output, so the result is
-// identical to the serial path.
-func (p ShardedPlacer) placeRegionsParallel(in *Input, regs *topo.Regions, s *shardScratch, pl *Placement) {
-	n := regs.NumRegions()
-	rss := s.regScratch[:0]
-	for len(rss) < n {
-		rss = append(rss, nil)
-	}
-	s.regScratch = rss
-	var wg sync.WaitGroup
-	for r := topo.RegionID(0); int(r) < n; r++ {
-		rss[r] = nil
+	rs := getRegionScratch()
+	for r := topo.RegionID(0); int(r) < regs.NumRegions(); r++ {
 		if s.regVMs[r] == 0 {
 			continue
 		}
-		rs := getRegionScratch()
-		rss[r] = rs
-		wg.Add(1)
-		go func(r topo.RegionID, rs *regionScratch) {
-			defer wg.Done()
-			buildRegionInput(in, regs, r, s, rs)
-			// The sub-recorder is private to this goroutine until the serial
-			// adopt below; deriving it only reads the shared parent.
-			attachRegionProv(in, regs, r, rs)
-			p.inner().PlaceInto(&rs.in, rs.pl)
-		}(r, rs)
+		buildRegionInput(in, regs, r, s, rs)
+		attachRegionProv(in, regs, r, rs)
+		p.inner().PlaceInto(&rs.in, rs.pl)
+		adoptRegionProv(in, rs)
+		mergeRegion(pl, regs, r, rs)
 	}
-	wg.Wait()
-	for r := topo.RegionID(0); int(r) < n; r++ {
-		if rss[r] == nil {
-			continue
-		}
-		// Ascending region order keeps the provenance stream byte-identical
-		// to the serial path.
-		adoptRegionProv(in, rss[r])
-		mergeRegion(pl, regs, r, rss[r])
-		putRegionScratch(rss[r])
-		rss[r] = nil
-	}
+	putRegionScratch(rs)
+	return pl
 }
 
 // shardScratch pools the temporaries of the VM→region assignment stage.
@@ -173,7 +122,7 @@ type shardScratch struct {
 	vms    []VMID
 	lat    []AppID
 	batch  []AppID
-	curves []mrc.Curve
+	hulls  []mrc.Curve
 	reqs   []lookahead.Request
 	sizes  []float64
 	latOf  []float64       // per VM index: reserved latency-critical bytes
@@ -186,8 +135,6 @@ type shardScratch struct {
 
 	regVMs  []int // per region: VMs assigned
 	regFree []int // per region: banks not yet spoken for
-
-	regScratch []*regionScratch // parallel-mode per-region borrows
 }
 
 var shardScratchPool = sync.Pool{New: func() any { return &shardScratch{} }}
@@ -261,7 +208,7 @@ func vmBankNeeds(in *Input, s *shardScratch) {
 		latTotal += lat
 		// The curves are filled in below, once it is known whether
 		// lookahead reads them.
-		r := lookahead.BankGranularRequest(mrc.Curve{}, 1, lat, m.BankBytes)
+		r := lookahead.BankGranularRequest(lat, m.BankBytes)
 		if len(s.batch) > 0 && r.Min < wayBytes*float64(len(s.batch)) {
 			r.Min += m.BankBytes
 		}
@@ -384,8 +331,8 @@ func assignNeediestFirst(in *Input, regs *topo.Regions, s *shardScratch) {
 }
 
 // entitlementCurve is the curve of one VM's entitlement request: the hull
-// of its batch apps' combined miss-rate curves, flat for a VM without
-// batch. The request steps in whole banks, so bank-granular samples of each
+// of its batch apps' combined miss-rate hulls, flat for a VM without batch.
+// The request steps in whole banks, so bank-granular samples of each
 // miss-rate curve carry all the information this stage can use —
 // downsampling turns the assignment stage from O(apps × ways) into
 // O(apps × banks) curve work, which is what keeps stage 1 cheap at 100s of
@@ -396,17 +343,17 @@ func entitlementCurve(in *Input, s *shardScratch, batch []AppID) mrc.Curve {
 	}
 	m := in.Machine
 	nb := m.Banks() + 1
-	curves := s.curves[:0]
+	hulls := s.hulls[:0]
 	for _, app := range batch {
 		spec := in.Apps[app]
 		d := s.arena.Curve(m.BankBytes, nb)
 		for k := range d.M {
 			d.M[k] = spec.MissRatio.Eval(float64(k)*m.BankBytes) * spec.AccessRate
 		}
-		curves = append(curves, d)
+		hulls = append(hulls, s.arena.ConvexHull(d))
 	}
-	s.curves = curves
-	return s.arena.ConvexHull(s.arena.Combine(curves...))
+	s.hulls = hulls
+	return s.arena.ConvexHull(s.arena.CombineHulls(hulls...))
 }
 
 // coresRegionDistance is the total hop distance from a VM's cores to region

@@ -107,17 +107,6 @@ func TestShardedMultiRegionValidAndIsolated(t *testing.T) {
 	}
 }
 
-// TestShardedParallelMatchesSerial pins the determinism claim: parallel
-// region placement changes wall-clock only, never bytes.
-func TestShardedParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := Machine{Mesh: topo.NewMesh(12, 12), BankBytes: 1 << 20, WaysPerBank: 32}
-	in := testWorkloadOn(m, m.Banks()/9, 4, rng)
-	serial := ShardedPlacer{RegionW: 8, RegionH: 8}.Place(in)
-	parallel := ShardedPlacer{RegionW: 8, RegionH: 8, Parallel: true}.Place(in)
-	requireBitwiseEqual(t, in, serial, parallel, "parallel-vs-serial")
-}
-
 // TestShardedOversubscribedDelegates: with more VMs than banks the sharded
 // placer must hand the whole problem to the flat placer's time-multiplexed
 // path rather than shard an undecomposable decision.

@@ -22,38 +22,24 @@ import (
 // result (see BenchmarkAblationTrading); TradesAttempted/TradesAccepted
 // expose how rarely the strict constraint admits a trade.
 type TradePlacer struct {
-	// MemLatency and HopCycles parameterize the CPI-delta model used to
-	// evaluate trades (defaults: the Table II machine's 120-cycle memory
-	// and 3-cycle hops).
-	MemLatency, HopCycles float64
-
 	// TradesAttempted and TradesAccepted count candidate evaluations and
 	// applied trades over this placer's lifetime.
 	TradesAttempted, TradesAccepted int
 
 	// Epoch-loop scratch (the placer has a pointer receiver, so it can keep
-	// its own). hulls caches one incremental HullUpdater per app: miss-ratio
-	// curves rarely change between epochs, so Update usually returns the
-	// cached hull without recomputing (bitwise-identical either way).
+	// its own). The arena backs the miss-ratio hulls trades read; PlaceInto
+	// resets it, so each hull lives for one placement.
 	vms        []VMID
 	lat, batch []AppID
-	hulls      map[AppID]*mrc.HullUpdater
+	arena      mrc.Arena
 }
 
-// hullOf returns the convex hull of app's miss-ratio curve via the placer's
-// per-app incremental updater. The returned curve aliases updater-owned
-// memory and is valid until the next hullOf call for the same app.
-func (p *TradePlacer) hullOf(in *Input, app AppID) mrc.Curve {
-	if p.hulls == nil {
-		p.hulls = make(map[AppID]*mrc.HullUpdater)
-	}
-	u := p.hulls[app]
-	if u == nil {
-		u = &mrc.HullUpdater{}
-		p.hulls[app] = u
-	}
-	return u.Update(in.Apps[app].MissRatio)
-}
+// The CPI-delta model trades are evaluated with: the Table II machine's
+// 120-cycle memory and 3-cycle hops.
+const (
+	tradeMemLatency = 120
+	tradeHopCycles  = 3
+)
 
 // Name implements Placer.
 func (p *TradePlacer) Name() string { return "Jumanji: Trading" }
@@ -66,14 +52,7 @@ func (p *TradePlacer) Place(in *Input) *Placement {
 // PlaceInto implements ScratchPlacer.
 func (p *TradePlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 	JumanjiPlacer{}.PlaceInto(in, pl)
-	memLat := p.MemLatency
-	if memLat == 0 {
-		memLat = 120
-	}
-	hopCycles := p.HopCycles
-	if hopCycles == 0 {
-		hopCycles = 3
-	}
+	p.arena.Reset()
 
 	wayBytes := in.Machine.WayBytes()
 	p.vms = in.AppendVMs(p.vms[:0])
@@ -83,7 +62,7 @@ func (p *TradePlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 			continue
 		}
 		for _, lat := range p.lat {
-			p.tradeForVM(in, pl, lat, p.batch, wayBytes, memLat, hopCycles)
+			p.tradeForVM(in, pl, lat, p.batch, wayBytes)
 		}
 	}
 	return pl
@@ -92,7 +71,7 @@ func (p *TradePlacer) PlaceInto(in *Input, pl *Placement) *Placement {
 // tradeForVM evaluates moving one way of lat's data from its nearest bank
 // to the farthest bank the VM owns, compensating lat with extra capacity
 // carved from batch space in the far bank.
-func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps []AppID, wayBytes, memLat, hopCycles float64) {
+func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps []AppID, wayBytes float64) {
 	spec := in.Apps[lat]
 	banks, bytes := pl.BanksOf(lat)
 	if len(banks) == 0 {
@@ -145,15 +124,15 @@ func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps 
 	dNear := float64(mesh.Hops(spec.Core, nearBank))
 	dFar := float64(mesh.Hops(spec.Core, farBank))
 	newHops := oldHops + (dFar-dNear)*wayBytes/total
-	dHitLat := 2 * (newHops - oldHops) * hopCycles
+	dHitLat := 2 * (newHops - oldHops) * tradeHopCycles
 
 	// Required capacity compensation: missRatio(total+c) must improve
 	// enough that Δmiss × memLat ≥ ΔhitLat. Search in way steps.
-	curve := p.hullOf(in, lat)
+	curve := p.arena.ConvexHull(spec.MissRatio)
 	missNow := curve.Eval(total)
 	comp := math.Inf(1)
 	for c := wayBytes; c <= 8*wayBytes; c += wayBytes {
-		if (missNow-curve.Eval(total+c))*memLat >= dHitLat {
+		if (missNow-curve.Eval(total+c))*tradeMemLatency >= dHitLat {
 			comp = c
 			break
 		}
@@ -169,12 +148,12 @@ func (p *TradePlacer) tradeForVM(in *Input, pl *Placement, lat AppID, batchApps 
 	// wayBytes in the near one; accept only if the donor's own benefit
 	// (closer data) outweighs its capacity loss.
 	donorSpec := in.Apps[donor]
-	donorCurve := p.hullOf(in, donor)
+	donorCurve := p.arena.ConvexHull(donorSpec.MissRatio)
 	donorTotal := pl.TotalOf(donor)
-	missCost := (donorCurve.Eval(donorTotal-comp) - donorCurve.Eval(donorTotal)) * memLat
+	missCost := (donorCurve.Eval(donorTotal-comp) - donorCurve.Eval(donorTotal)) * tradeMemLatency
 	dDonorNear := float64(mesh.Hops(donorSpec.Core, nearBank))
 	dDonorFar := float64(mesh.Hops(donorSpec.Core, farBank))
-	hopGain := 2 * (dDonorFar - dDonorNear) * hopCycles * wayBytes / donorTotal
+	hopGain := 2 * (dDonorFar - dDonorNear) * tradeHopCycles * wayBytes / donorTotal
 	if hopGain <= missCost {
 		if on {
 			in.Prov.Eliminated(obs.StageTrade, int(spec.VM), int(lat),

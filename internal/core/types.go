@@ -42,12 +42,6 @@ type AppSpec struct {
 	AccessRate float64
 }
 
-// MissRateCurve returns the absolute miss-rate curve: miss ratio × access
-// rate, the quantity lookahead trades off across applications.
-func (a AppSpec) MissRateCurve() mrc.Curve {
-	return a.MissRatio.Scale(a.AccessRate)
-}
-
 // Machine describes the LLC the placers manage.
 type Machine struct {
 	Mesh        topo.Mesh

@@ -18,10 +18,9 @@ func benchRequests(rng *rand.Rand, n, points int) []Request {
 		for j := range pts {
 			pts[j] = 30*math.Exp(-float64(j)/float64(points/4+1)) + rng.Float64()
 		}
-		reqs[i] = Request{
-			Curve:  mrc.New(64*1024, pts).ConvexHull(),
-			Weight: 0.5 + rng.Float64(),
-		}
+		// Scaled by an access rate, as the placers pass their hulls.
+		h := mrc.New(64*1024, pts).ConvexHull()
+		reqs[i] = Request{Curve: h.ScaleInto(h.M, 0.5+rng.Float64())}
 	}
 	return reqs
 }
@@ -47,9 +46,8 @@ func BenchmarkLookaheadAllocateNonConvex(b *testing.B) {
 	reqs := benchRequests(rng, 4, 32)
 	for i := range reqs {
 		// Re-introduce a cliff so IsConvex fails and the jump scan runs.
-		m := reqs[i].Curve.Clone()
-		m.M[len(m.M)/2] = m.M[0]
-		reqs[i].Curve = m
+		m := reqs[i].Curve.M
+		m[len(m)/2] = m[0]
 	}
 	total := 0.5 * 4 * 31 * 64 * 1024
 	b.ResetTimer()

@@ -127,7 +127,9 @@ var fuzzSlack = []float64{0, 1e-10, -1e-10, 1e-9, 2e-9, -1e-7, -2e-6, 0.25, 0.5,
 
 // fuzzRequests decodes 1-6 requests from data, reading zeros once data
 // runs out. Each request has a curve of 1-8 points on a 0.5, 1 or 2 unit
-// grid, plus Weight, Min, Step and Max drawn from small tables.
+// grid, plus Min, Step and Max drawn from small tables. The byte before
+// Min is skipped: it once picked a utility weight, and skipping it keeps
+// the saved corpus decoding to the same requests.
 func fuzzRequests(data []byte) []Request {
 	next := func() int {
 		if len(data) == 0 {
@@ -151,12 +153,13 @@ func fuzzRequests(data []byte) []Request {
 				pts[j] = float64(b) / 25
 			}
 		}
+		unit := pick(0.5, 1, 2)
+		next()
 		reqs[i] = Request{
-			Curve:  mrc.Curve{Unit: pick(0.5, 1, 2), M: pts},
-			Weight: pick(0, 1, 0.5, 3, nan, -1),
-			Min:    pick(0, 0.5, 1, 1.5, 2, 3, -1, nan),
-			Step:   pick(0, 0.5, 1, 2, 0.75, -1, nan),
-			Max:    pick(0, 1, 2, 4, 8, -1, nan, 0.5),
+			Curve: mrc.Curve{Unit: unit, M: pts},
+			Min:   pick(0, 0.5, 1, 1.5, 2, 3, -1, nan),
+			Step:  pick(0, 0.5, 1, 2, 0.75, -1, nan),
+			Max:   pick(0, 1, 2, 4, 8, -1, nan, 0.5),
 		}
 	}
 	return reqs
@@ -222,12 +225,6 @@ func allocateReference(dst []float64, total float64, reqs []Request) []float64 {
 			total-remaining, total))
 	}
 
-	weight := func(i int) float64 {
-		if reqs[i].Weight > 0 {
-			return reqs[i].Weight
-		}
-		return 1
-	}
 	step := func(i int) float64 {
 		if reqs[i].Step > 0 {
 			return reqs[i].Step
@@ -268,7 +265,7 @@ func allocateReference(dst []float64, total float64, reqs []Request) []float64 {
 		defer func() { scratchPool.Put(sp) }()
 		steps, maxs, rates := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
 		rate := func(i int) float64 {
-			gain := (reqs[i].Curve.Eval(sizes[i]) - reqs[i].Curve.Eval(sizes[i]+steps[i])) * weight(i)
+			gain := reqs[i].Curve.Eval(sizes[i]) - reqs[i].Curve.Eval(sizes[i]+steps[i])
 			return gain / steps[i]
 		}
 		for i := range reqs {
@@ -306,7 +303,7 @@ func allocateReference(dst []float64, total float64, reqs []Request) []float64 {
 			curMiss := reqs[i].Curve.Eval(cur)
 			// Look ahead over 1..k steps for the best utility *rate*.
 			for jump := s; jump <= remaining+1e-9 && cur+jump <= maxOf(i)+1e-9; jump += s {
-				gain := (curMiss - reqs[i].Curve.Eval(cur+jump)) * weight(i)
+				gain := curMiss - reqs[i].Curve.Eval(cur+jump)
 				rate := gain / jump
 				if rate > bestRate+1e-15 {
 					bestApp, bestJump, bestRate = i, jump, rate

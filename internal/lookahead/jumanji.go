@@ -3,20 +3,19 @@ package lookahead
 import (
 	"fmt"
 	"math"
-
-	"jumanji/internal/mrc"
 )
 
 // BankGranularRequest builds the JumanjiLookahead request for one VM's
-// combined batch miss curve (Sec. VI-D): given that the VM's latency-critical
-// applications already hold latBytes, the VM's *total* allocation must land
-// on a whole number of banks, so feasible batch sizes are
-// k×bank − latBytes for integer k ≥ ceil(latBytes/bank).
+// combined batch miss curve (Sec. VI-D), without the curve: given that the
+// VM's latency-critical applications already hold latBytes, the VM's
+// *total* allocation must land on a whole number of banks, so feasible
+// batch sizes are k×bank − latBytes for integer k ≥ ceil(latBytes/bank).
+// The caller sets Curve once CanGrow says lookahead will read it.
 //
 // For example, with 1 MB banks and a 1.3 MB latency-critical reservation,
 // the batch allocation may be 0.7, 1.7, 2.7, ... banks' worth of bytes —
 // exactly the paper's example.
-func BankGranularRequest(curve mrc.Curve, weight, latBytes, bankBytes float64) Request {
+func BankGranularRequest(latBytes, bankBytes float64) Request {
 	if bankBytes <= 0 {
 		panic("lookahead: non-positive bank size")
 	}
@@ -28,10 +27,5 @@ func BankGranularRequest(curve mrc.Curve, weight, latBytes, bankBytes float64) R
 	if min < 0 {
 		min = 0
 	}
-	return Request{
-		Curve:  curve,
-		Weight: weight,
-		Min:    min,
-		Step:   bankBytes,
-	}
+	return Request{Min: min, Step: bankBytes}
 }

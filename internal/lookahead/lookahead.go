@@ -22,13 +22,13 @@ var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // Request describes one contender for capacity.
 type Request struct {
-	// Curve is the miss curve; Curve.Unit is in bytes. Allocate reads no
-	// curve when CanGrow is false, so callers that check CanGrow first may
-	// leave it the zero Curve then, provided Step is set.
+	// Curve is the miss curve; Curve.Unit is in bytes. Utility is read off
+	// it unweighted, so callers scale it first (the placers multiply miss
+	// ratios by access rates) for light and heavy applications to compete
+	// fairly. Allocate reads no curve when CanGrow is false, so callers
+	// that check CanGrow first may leave it the zero Curve then, provided
+	// Step is set.
 	Curve mrc.Curve
-	// Weight scales the curve's utility (e.g. by access rate) so that
-	// curves expressed as miss *ratios* compete fairly. Zero means 1.
-	Weight float64
 	// Min is the mandatory starting allocation in bytes (0 for none).
 	Min float64
 	// Step is the allocation granularity in bytes. Zero uses the curve's
@@ -88,12 +88,6 @@ func AllocateInto(dst []float64, total float64, reqs []Request) []float64 {
 		return dst
 	}
 
-	weight := func(i int) float64 {
-		if reqs[i].Weight > 0 {
-			return reqs[i].Weight
-		}
-		return 1
-	}
 	step := func(i int) float64 {
 		if reqs[i].Step > 0 {
 			return reqs[i].Step
@@ -134,7 +128,7 @@ func AllocateInto(dst []float64, total float64, reqs []Request) []float64 {
 		defer func() { scratchPool.Put(sp) }()
 		steps, maxs, rates := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
 		rate := func(i int) float64 {
-			gain := (reqs[i].Curve.Eval(sizes[i]) - reqs[i].Curve.Eval(sizes[i]+steps[i])) * weight(i)
+			gain := reqs[i].Curve.Eval(sizes[i]) - reqs[i].Curve.Eval(sizes[i]+steps[i])
 			return gain / steps[i]
 		}
 		for i := range reqs {
@@ -172,7 +166,7 @@ func AllocateInto(dst []float64, total float64, reqs []Request) []float64 {
 			curMiss := reqs[i].Curve.Eval(cur)
 			// Look ahead over 1..k steps for the best utility *rate*.
 			for jump := s; jump <= remaining+1e-9 && cur+jump <= maxOf(i)+1e-9; jump += s {
-				gain := (curMiss - reqs[i].Curve.Eval(cur+jump)) * weight(i)
+				gain := curMiss - reqs[i].Curve.Eval(cur+jump)
 				rate := gain / jump
 				if rate > bestRate+1e-15 {
 					bestApp, bestJump, bestRate = i, jump, rate

@@ -80,16 +80,6 @@ func TestAllocateLookaheadCrossesCliffs(t *testing.T) {
 	}
 }
 
-func TestAllocateWeights(t *testing.T) {
-	// Identical ratio curves but app 0 has 10x the access rate: it should
-	// win the capacity.
-	c := convex(1, 1.0, 0.5, 0.25, 0.12)
-	sizes := Allocate(3, []Request{{Curve: c, Weight: 10}, {Curve: c, Weight: 1}})
-	if sizes[0] <= sizes[1] {
-		t.Errorf("weight ignored: %v", sizes)
-	}
-}
-
 func TestAllocateStepGranularity(t *testing.T) {
 	c := convex(1, 100, 80, 60, 40, 20, 10, 5, 2)
 	sizes := Allocate(7, []Request{{Curve: c, Step: 2}, {Curve: c, Step: 2}})
@@ -112,7 +102,12 @@ func TestAllocateNeverOverCommits(t *testing.T) {
 				pts[j] = v
 				v *= rng.Float64()
 			}
-			reqs[i] = Request{Curve: mrc.New(1, pts), Weight: rng.Float64() * 3}
+			// An access rate, scaling the curve as the placers do.
+			rate := rng.Float64() * 3
+			for j := range pts {
+				pts[j] *= rate
+			}
+			reqs[i] = Request{Curve: mrc.New(1, pts)}
 		}
 		total := rng.Float64() * 20
 		sizes := Allocate(total, reqs)
@@ -168,9 +163,8 @@ func randomConvex(rng *rand.Rand, n int) mrc.Curve {
 }
 
 func TestBankGranularRequest(t *testing.T) {
-	curve := convex(1, 10, 5, 2, 1)
 	// 1.3 banks of latency-critical data with 1.0-byte banks: batch min is 0.7.
-	r := BankGranularRequest(curve, 1, 1.3, 1.0)
+	r := BankGranularRequest(1.3, 1.0)
 	if math.Abs(r.Min-0.7) > 1e-9 {
 		t.Errorf("Min = %v, want 0.7", r.Min)
 	}
@@ -180,14 +174,14 @@ func TestBankGranularRequest(t *testing.T) {
 }
 
 func TestBankGranularRequestExactBanks(t *testing.T) {
-	r := BankGranularRequest(convex(1, 1, 0), 1, 2.0, 1.0)
+	r := BankGranularRequest(2.0, 1.0)
 	if r.Min != 0 {
 		t.Errorf("Min = %v, want 0 for bank-aligned latency data", r.Min)
 	}
 }
 
 func TestBankGranularRequestZeroLat(t *testing.T) {
-	r := BankGranularRequest(convex(1, 1, 0), 1, 0, 1.0)
+	r := BankGranularRequest(0, 1.0)
 	if r.Min != 0 {
 		t.Errorf("Min = %v, want 0", r.Min)
 	}
@@ -198,7 +192,8 @@ func TestBankGranularFeasibleSizes(t *testing.T) {
 	// whole banks.
 	curve := convex(0.1, 10, 8, 6, 5, 4, 3, 2.5, 2, 1.5, 1, 0.8, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02)
 	lat := 1.3
-	r := BankGranularRequest(curve, 1, lat, 1.0)
+	r := BankGranularRequest(lat, 1.0)
+	r.Curve = curve
 	sizes := Allocate(5, []Request{r})
 	totalVM := sizes[0] + lat
 	if math.Abs(totalVM-math.Round(totalVM)) > 1e-6 {
@@ -208,8 +203,8 @@ func TestBankGranularFeasibleSizes(t *testing.T) {
 
 func TestBankGranularRequestPanics(t *testing.T) {
 	cases := []func(){
-		func() { BankGranularRequest(convex(1, 1, 0), 1, 1, 0) },
-		func() { BankGranularRequest(convex(1, 1, 0), 1, -1, 1) },
+		func() { BankGranularRequest(1, 0) },
+		func() { BankGranularRequest(-1, 1) },
 	}
 	for i, f := range cases {
 		func() {

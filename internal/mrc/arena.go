@@ -5,14 +5,15 @@
 package mrc
 
 // Arena hands out []float64 backing from reusable slabs, so the epoch loop's
-// curve temporaries (clones, hulls, combined curves) stop hitting the heap.
+// curve temporaries (scaled curves, hulls, combined curves) stop hitting the
+// heap.
 //
 // Lifetime rules:
 //
-//   - Every curve produced through an arena (Alloc, Clone, Scale, ConvexHull,
-//     Combine, CombineHulls) is valid only until the next Reset of that
-//     arena. Callers that need a curve to survive Reset must deep-copy it
-//     first (Curve.Clone).
+//   - Every curve produced through an arena (Alloc, Curve, ConvexHull,
+//     CombineHulls) is valid only until the next Reset of that arena.
+//     Callers that need a curve to survive Reset must copy its points
+//     first.
 //   - Reset recycles all slabs without zeroing; the next Alloc hands out the
 //     same memory. An arena therefore reaches a high-water mark once and
 //     allocates nothing afterwards (the property TestAllocGuardArena pins).
@@ -73,26 +74,9 @@ func (a *Arena) Curve(unit float64, n int) Curve {
 	return Curve{Unit: unit, M: a.Alloc(n)}
 }
 
-// Clone is Curve.Clone with the copy backed by the arena.
-func (a *Arena) Clone(c Curve) Curve {
-	return c.CloneInto(a.Alloc(len(c.M)))
-}
-
-// Scale is Curve.Scale with the result backed by the arena.
-func (a *Arena) Scale(c Curve, f float64) Curve {
-	return c.ScaleInto(a.Alloc(len(c.M)), f)
-}
-
 // ConvexHull is Curve.ConvexHull with the result backed by the arena.
 func (a *Arena) ConvexHull(c Curve) Curve {
 	return c.ConvexHullInto(a.Alloc(len(c.M)))
-}
-
-// Combine is the Whirlpool combination (see Combine) with the result backed
-// by the arena. Input hulls live in pooled scratch, not the arena, so the
-// arena's footprint is just the result curve.
-func (a *Arena) Combine(curves ...Curve) Curve {
-	return CombineInto(a.Alloc(combinedLen(curves)), curves...)
 }
 
 // CombineHulls is CombineHullsInto with the result backed by the arena.

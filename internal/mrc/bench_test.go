@@ -33,19 +33,9 @@ func BenchmarkMRCEval(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkMRCAdd measures the pointwise sum used when pooling app curves.
-func BenchmarkMRCAdd(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x, y := benchCurve(rng, 256), benchCurve(rng, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Add(x, y)
-	}
-}
-
 // BenchmarkMRCHull measures a full from-scratch convex hull (monotone pass,
-// Andrew chain, grid resample) into a reused destination — what every
-// placement recomputation pays per curve without the incremental updater.
+// Andrew chain, grid resample) into a reused destination — what a placement
+// pays for each app whose curve or access rate changed.
 func BenchmarkMRCHull(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	c := benchCurve(rng, 512)
@@ -56,43 +46,33 @@ func BenchmarkMRCHull(b *testing.B) {
 	}
 }
 
-// BenchmarkMRCHullIncremental measures HullUpdater.Update when a handful of
-// points changed since the previous epoch — the epoch loop's common case.
-// Compare against BenchmarkMRCHull for the incremental win.
-func BenchmarkMRCHullIncremental(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	c := benchCurve(rng, 512)
-	var u HullUpdater
-	u.Update(c)
-	// Pre-generate small perturbations near the tail so the timed loop does
-	// no RNG work: flip between two versions of the last few points.
-	alt := append([]float64(nil), c.M...)
-	for j := len(alt) - 4; j < len(alt); j++ {
-		alt[j] *= 0.999
+// hullBacking returns one hull slot per curve, each with backing of its
+// curve's length for ConvexHullInto to fill.
+func hullBacking(curves []Curve) []Curve {
+	hulls := make([]Curve, len(curves))
+	for i, c := range curves {
+		hulls[i].M = make([]float64, len(c.M))
 	}
-	orig := append([]float64(nil), c.M...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			copy(c.M, alt)
-		} else {
-			copy(c.M, orig)
-		}
-		u.Update(c)
-	}
+	return hulls
 }
 
 // BenchmarkMRCCombine measures the Whirlpool per-VM curve combination
-// (one call per VM per epoch), including the pooled-scratch reuse path.
+// (one call per VM per epoch) as the placers build it: each curve's hull,
+// then the merge of their gains into a freshly allocated curve, with the
+// pooled scratch reused.
 func BenchmarkMRCCombine(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	curves := make([]Curve, 4)
 	for i := range curves {
 		curves[i] = benchCurve(rng, 128)
 	}
+	hulls := hullBacking(curves)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Combine(curves...)
+		for j, c := range curves {
+			hulls[j] = c.ConvexHullInto(hulls[j].M)
+		}
+		CombineHullsInto(make([]float64, combinedLen(hulls)), hulls...)
 	}
 }
 
@@ -108,10 +88,14 @@ func BenchmarkMRCCombineFleet(b *testing.B) {
 	for i := range curves {
 		curves[i] = benchCurve(rng, 4096)
 	}
+	hulls := hullBacking(curves)
 	dst := make([]float64, 4*4095+1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CombineInto(dst, curves...)
+		for j, c := range curves {
+			hulls[j] = c.ConvexHullInto(hulls[j].M)
+		}
+		CombineHullsInto(dst, hulls...)
 	}
 }

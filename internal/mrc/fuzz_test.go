@@ -88,11 +88,10 @@ func combineCurvesFromBytes(n uint8, data []byte) (curves []Curve, finite bool) 
 	return curves, finite
 }
 
-// FuzzCombine checks Combine bitwise against the global-sort reference
-// (combineGlobalSort) on 1-8 curves, CombineHullsInto fed the curves'
-// ConvexHullInto outputs bitwise against CombineInto on the raw curves, and
-// the Whirlpool combination invariants on finite input: monotone, convex,
-// correct length and endpoints.
+// FuzzCombine checks CombineHullsInto fed 1-8 curves' ConvexHullInto
+// outputs bitwise against the global-sort reference (combineGlobalSort) on
+// the raw curves, and the Whirlpool combination invariants on finite input:
+// monotone, convex, correct length and endpoints.
 func FuzzCombine(f *testing.F) {
 	f.Add(uint8(1), []byte{100, 50, 20, 80, 10})
 	f.Add(uint8(1), []byte{0, 254, 0})
@@ -110,17 +109,10 @@ func FuzzCombine(f *testing.F) {
 	f.Add(uint8(4), []byte{157, 112, 64, 116, 175, 88, 26, 139, 149, 37, 226, 15, 218, 157, 112, 64, 116, 175, 119, 84, 48, 3, 143, 157, 112})
 	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
 		curves, finite := combineCurvesFromBytes(n, data)
-		comb := Combine(curves...)
+		comb := hullAndCombine(curves...)
 		want := combineGlobalSort(curves...)
 		if !bitsEqual(comb.M, want.M) {
-			t.Fatalf("Combine differs from the global-sort reference:\n got %v\nwant %v\n  in %v", comb.M, want.M, curves)
-		}
-		hulls := make([]Curve, len(curves))
-		for i, c := range curves {
-			hulls[i] = c.ConvexHullInto(make([]float64, len(c.M)))
-		}
-		if got := CombineHullsInto(make([]float64, combinedLen(hulls)), hulls...); !bitsEqual(got.M, comb.M) {
-			t.Fatalf("CombineHullsInto on the hulls differs from CombineInto on the curves:\n got %v\nwant %v\n  in %v", got.M, comb.M, curves)
+			t.Fatalf("CombineHullsInto differs from the global-sort reference:\n got %v\nwant %v\n  in %v", comb.M, want.M, curves)
 		}
 		if !finite {
 			return
@@ -145,43 +137,6 @@ func FuzzCombine(f *testing.F) {
 		if comb.M[len(comb.M)-1] > last+1e-6 {
 			t.Fatal("combined end above the sum of minima")
 		}
-	})
-}
-
-// FuzzHullUpdater feeds an updater two curve revisions decoded from the same
-// fuzz payload (the second is the first with a byte-range splice) and checks
-// both incremental results are bitwise equal to the full ConvexHull.
-func FuzzHullUpdater(f *testing.F) {
-	f.Add([]byte{100, 100, 100, 0}, []byte{3, 7}, uint8(1))
-	f.Add([]byte{50, 60, 10, 10, 5}, []byte{0}, uint8(0))
-	f.Add([]byte{0}, []byte{}, uint8(2))
-	f.Fuzz(func(t *testing.T, data, patch []byte, at uint8) {
-		c := New(1, curveFromBytes(data))
-		var u HullUpdater
-		check := func(rev string) {
-			got := u.Update(c)
-			want := c.ConvexHull()
-			if len(got.M) != len(want.M) {
-				t.Fatalf("%s: incremental length %d, want %d", rev, len(got.M), len(want.M))
-			}
-			for i := range got.M {
-				if math.Float64bits(got.M[i]) != math.Float64bits(want.M[i]) {
-					t.Fatalf("%s: incremental hull differs at %d: %v vs %v (raw %v)",
-						rev, i, got.M, want.M, c.M)
-				}
-			}
-		}
-		check("initial")
-		// Splice the patch into the raw curve at offset `at` (clamped).
-		pos := int(at) % len(c.M)
-		for i, b := range patch {
-			if pos+i >= len(c.M) {
-				break
-			}
-			c.M[pos+i] = float64(b) / 10
-		}
-		check("patched")
-		check("unchanged") // cached-output path
 	})
 }
 

@@ -163,9 +163,10 @@ func TestHullKernelsMatchReference(t *testing.T) {
 	var curves []Curve
 	for _, n := range []int{1, 2, 3, 4, 17, 640, 8193} {
 		c := benchCurve(rng, n)
-		curves = append(curves, c, c.ConvexHull())
+		h := c.ConvexHull()
+		curves = append(curves, c, h)
 		for _, rate := range []float64{0, 0.37, 3, 1e3} {
-			curves = append(curves, c.Scale(rate), c.ConvexHull().Scale(rate))
+			curves = append(curves, c.ScaleInto(make([]float64, n), rate), h.ScaleInto(make([]float64, n), rate))
 		}
 		r := make([]float64, n)
 		for i := range r {

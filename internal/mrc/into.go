@@ -15,17 +15,6 @@ type pt struct{ x, y float64 }
 
 var hullPtsPool = sync.Pool{New: func() any { return new([]pt) }}
 
-// CloneInto copies the curve into dst and returns a curve backed by dst.
-// dst must have exactly len(c.M) elements. Passing the receiver's own M is
-// harmless (the copy is a no-op and the result aliases it).
-func (c Curve) CloneInto(dst []float64) Curve {
-	if len(dst) != len(c.M) {
-		panic("mrc: CloneInto dst length mismatch")
-	}
-	copy(dst, c.M)
-	return Curve{Unit: c.Unit, M: dst}
-}
-
 // ScaleInto writes the curve scaled by f into dst and returns a curve backed
 // by dst. dst must have exactly len(c.M) elements; f must be non-negative.
 // dst may alias the receiver's M (each element is read before written).
@@ -118,8 +107,7 @@ func (c Curve) ConvexHullInto(dst []float64) Curve {
 // left vertex up to its right one take that segment's interpolation, and
 // the last segment takes every point from its left vertex to the end of
 // dst. The hull's x values are strictly increasing integers, its first at 0
-// and its last at len(dst)-1, as the monotone chain leaves them. Shared by
-// ConvexHullInto and HullUpdater so both produce bitwise-identical output.
+// and its last at len(dst)-1, as the monotone chain leaves them.
 func resampleHull(dst []float64, hull []pt) {
 	last := len(hull) - 1
 	if last == 0 {
@@ -143,21 +131,16 @@ func resampleHull(dst []float64, hull []pt) {
 	}
 }
 
-// CombineInto is Combine with the result written into dst, which must have
-// exactly (sum of input steps)+1 elements. It hulls each curve in turn into
-// pooled scratch and hands the hull to the merge CombineHullsInto runs, so
-// the two entries give the same bits for the same hulls. A warmed call
-// allocates nothing. dst must not share backing with any input curve.
-func CombineInto(dst []float64, curves ...Curve) Curve {
-	return combineInto(dst, curves, true)
-}
-
-// CombineHullsInto is CombineInto for curves that are already convex hulls
-// (ConvexHullInto outputs), skipping the hull pass: callers that keep each
-// app's hull for other uses combine those instead of hulling every curve
-// twice. Fed c.ConvexHullInto(...) for each curve c, it returns CombineInto's
-// result bit for bit. dst must have exactly (sum of input steps)+1 elements
-// and must not share backing with any input.
+// CombineHullsInto computes the combined miss curve of several applications
+// sharing a pooled allocation that is optimally partitioned among them — the
+// Whirlpool Appendix-B model the paper uses to form per-VM curves (Sec.
+// VI-D): combined(S) = min over {s_i : sum s_i = S} of sum_i hull_i(s_i).
+// The inputs must be convex hulls (ConvexHullInto outputs), for which the
+// greedy marginal-utility construction is exactly optimal; hulling an app's
+// curve also matches the paper's DRRIP approximation. All inputs must share
+// a unit. The result, written into dst, has steps = sum of the inputs'
+// steps, so dst must have exactly (sum of input steps)+1 elements, and it
+// must not share backing with any input. A warmed call allocates nothing.
 //
 // The combined curve spends its capacity steps on the largest remaining
 // per-step gains of all hulls, so it needs every hull's gains in one
@@ -173,39 +156,28 @@ func CombineInto(dst []float64, curves ...Curve) Curve {
 // merge keeps the global sort: sort.Float64s over all gains, NaNs first,
 // consumed back to front.
 func CombineHullsInto(dst []float64, hulls ...Curve) Curve {
-	return combineInto(dst, hulls, false)
-}
-
-// combineInto is CombineInto when hull is set, else CombineHullsInto.
-func combineInto(dst []float64, curves []Curve, hull bool) Curve {
-	if len(curves) == 0 {
-		panic("mrc: Combine of no curves")
+	if len(hulls) == 0 {
+		panic("mrc: CombineHullsInto of no curves")
 	}
-	unit := curves[0].Unit
+	unit := hulls[0].Unit
 	totalSteps := 0
-	for _, c := range curves {
-		if c.Unit != unit {
-			panic("mrc: Combine on mismatched units")
+	for _, h := range hulls {
+		if h.Unit != unit {
+			panic("mrc: CombineHullsInto on mismatched units")
 		}
-		totalSteps += len(c.M) - 1
+		totalSteps += len(h.M) - 1
 	}
 	if len(dst) != totalSteps+1 {
-		panic("mrc: CombineInto dst length mismatch")
+		panic("mrc: CombineHullsInto dst length mismatch")
 	}
 	// Gather each hull's per-step miss reduction into pooled scratch, one
-	// run per hull — Combine runs once per VM per epoch, so the scratch is
-	// reused across calls rather than reallocated.
+	// run per hull — the placers combine once per VM per epoch, so the
+	// scratch is reused across calls rather than reallocated.
 	s := combinePool.Get().(*combineScratch)
 	gains, heads := s.gains[:0], s.heads[:0]
 	nan := false
 	base := 0.0
-	for _, h := range curves {
-		if hull {
-			if cap(s.hull) < len(h.M) {
-				s.hull = make([]float64, len(h.M)) // alloc: ok (scratch growth, amortized to zero)
-			}
-			h = h.ConvexHullInto(s.hull[:len(h.M)])
-		}
+	for _, h := range hulls {
 		base += h.M[0]
 		start := len(gains)
 		for i := 1; i < len(h.M); i++ {
@@ -241,9 +213,8 @@ func combineStep(dst []float64, i int, g float64) {
 	}
 }
 
-// combineScratch is CombineInto's pooled working set.
+// combineScratch is CombineHullsInto's pooled working set.
 type combineScratch struct {
-	hull  []float64 // the hull of the curve being read
 	gains []float64 // every hull's gains, one run per hull, back to back
 	heads []runHead // the runs, then the merge heap over them
 }

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// Tests for the zero-alloc *Into variants and the Arena: warmed calls must
-// not touch the heap, results must be bitwise identical to the allocating
-// versions, and ConvexHullInto must honour its no-aliasing guarantee.
+// Tests for the zero-alloc *Into functions and the Arena: warmed calls must
+// not touch the heap, results must match their expected values bit for bit,
+// and ConvexHullInto must honour its no-aliasing guarantee.
 
 func testCurves() []Curve {
 	return []Curve{
@@ -35,22 +35,34 @@ func bitsEqual(a, b []float64) bool {
 func TestIntoMatchesAllocating(t *testing.T) {
 	for _, c := range testCurves() {
 		dst := make([]float64, len(c.M))
-		if got, want := c.CloneInto(dst), c.Clone(); !bitsEqual(got.M, want.M) {
-			t.Errorf("CloneInto mismatch: %v vs %v", got.M, want.M)
-		}
-		if got, want := c.ScaleInto(dst, 3.5), c.Scale(3.5); !bitsEqual(got.M, want.M) {
-			t.Errorf("ScaleInto mismatch: %v vs %v", got.M, want.M)
+		got := c.ScaleInto(dst, 3.5)
+		for i, v := range c.M {
+			if math.Float64bits(got.M[i]) != math.Float64bits(v*3.5) {
+				t.Errorf("ScaleInto(3.5) point %d = %v, want %v", i, got.M[i], v*3.5)
+			}
 		}
 		if got, want := c.ConvexHullInto(dst), c.ConvexHull(); !bitsEqual(got.M, want.M) {
 			t.Errorf("ConvexHullInto mismatch: %v vs %v", got.M, want.M)
 		}
 	}
-	cs := testCurves()
-	want := Combine(cs...)
-	got := CombineInto(make([]float64, len(want.M)), cs...)
-	if !bitsEqual(got.M, want.M) {
-		t.Errorf("CombineInto mismatch: %v vs %v", got.M, want.M)
+	// Two convex curves with exact binary values: the combined curve spends
+	// its five steps on the gains 4, 3, 2, 2 and 1 in that order.
+	a := New(1, []float64{8, 4, 2, 1})
+	b := New(1, []float64{6, 3, 1})
+	got := CombineHullsInto(make([]float64, 6), a, b)
+	if want := []float64{14, 10, 7, 5, 3, 2}; !bitsEqual(got.M, want) {
+		t.Errorf("CombineHullsInto = %v, want %v", got.M, want)
 	}
+}
+
+// hullAndCombine hulls each curve into fresh backing and combines the
+// hulls, the way the placers combine a VM's curves.
+func hullAndCombine(curves ...Curve) Curve {
+	hulls := make([]Curve, len(curves))
+	for i, c := range curves {
+		hulls[i] = c.ConvexHull()
+	}
+	return CombineHullsInto(make([]float64, combinedLen(hulls)), hulls...)
 }
 
 // TestConvexHullIntoNoAlias pins the documented guarantee: even when the
@@ -83,7 +95,6 @@ func TestAllocGuardInto(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"CloneInto", func() { out = c.CloneInto(dst) }},
 		{"ScaleInto", func() { out = c.ScaleInto(dst, 2) }},
 		{"ConvexHullInto", func() { out = c.ConvexHullInto(dst) }},
 	}
@@ -94,16 +105,15 @@ func TestAllocGuardInto(t *testing.T) {
 	}
 	allocSink = out.M[0]
 
-	cs := testCurves()
-	total := 0
-	for _, cc := range cs {
-		total += len(cc.M) - 1
+	hulls := testCurves()
+	for i, h := range hulls {
+		hulls[i] = h.ConvexHull()
 	}
-	cdst := make([]float64, total+1)
+	cdst := make([]float64, combinedLen(hulls))
 	if allocs := testing.AllocsPerRun(200, func() {
-		out = CombineInto(cdst, cs...)
+		out = CombineHullsInto(cdst, hulls...)
 	}); allocs != 0 {
-		t.Errorf("CombineInto allocated %v times per call, want 0 (pooled scratch)", allocs)
+		t.Errorf("CombineHullsInto allocated %v times per call, want 0 (pooled scratch)", allocs)
 	}
 	allocSink = out.M[0]
 }
@@ -115,89 +125,24 @@ func TestAllocGuardArena(t *testing.T) {
 	var a Arena
 	c := New(1<<20, []float64{0.9, 0.5, 0.3, 0.2, 0.15, 0.12, 0.1})
 	// Warm the arena slabs once.
+	scaled := func() Curve { return c.ScaleInto(a.Alloc(len(c.M)), 2) }
 	a.Reset()
 	_ = a.ConvexHull(c)
-	_ = a.Scale(c, 2)
+	_ = scaled()
 	var out Curve
 	if allocs := testing.AllocsPerRun(200, func() {
 		a.Reset()
-		out = a.ConvexHull(a.Scale(c, 2))
+		out = a.ConvexHull(scaled())
 	}); allocs != 0 {
 		t.Errorf("Arena Scale+ConvexHull allocated %v times per call, want 0", allocs)
 	}
 	allocSink = out.M[0]
 }
 
-func TestAllocGuardHullUpdater(t *testing.T) {
-	c := New(1<<20, []float64{0.9, 0.5, 0.3, 0.2, 0.15, 0.12, 0.1})
-	var u HullUpdater
-	u.Update(c) // warm: sizes the internal buffers
-	var out Curve
-	if allocs := testing.AllocsPerRun(200, func() {
-		out = u.Update(c)
-	}); allocs != 0 {
-		t.Errorf("HullUpdater.Update allocated %v times per call, want 0", allocs)
-	}
-	allocSink = out.M[0]
-}
-
-// TestHullUpdaterMatchesFull drives a HullUpdater through random mutation
-// sequences and pins, at every step, bitwise equality with the full
-// from-scratch ConvexHull — the property that lets the epoch loop use the
-// incremental path without perturbing any figure.
-func TestHullUpdaterMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(60)
-		pts := make([]float64, n)
-		for i := range pts {
-			pts[i] = rng.Float64()
-		}
-		c := New(1, pts)
-		var u HullUpdater
-		for step := 0; step < 30; step++ {
-			want := c.ConvexHull()
-			got := u.Update(c)
-			if !bitsEqual(got.M, want.M) {
-				t.Fatalf("trial %d step %d: incremental hull %v, want %v (raw %v)",
-					trial, step, got.M, want.M, c.M)
-			}
-			// Mutate: mostly small point edits (the incremental fast path),
-			// sometimes nothing (the cached path), rarely a reshuffle.
-			switch r := rng.Float64(); {
-			case r < 0.2: // no change — must hit the cached-output path
-			case r < 0.9:
-				for k := 0; k < 1+rng.Intn(3); k++ {
-					c.M[rng.Intn(n)] = rng.Float64()
-				}
-			default:
-				for i := range c.M {
-					c.M[i] = rng.Float64()
-				}
-			}
-		}
-	}
-}
-
-// TestHullUpdaterReset checks that an updater survives curve length and unit
-// changes by falling back to a full recompute.
-func TestHullUpdaterReset(t *testing.T) {
-	var u HullUpdater
-	a := New(1, []float64{0.9, 0.2, 0.8, 0.1})
-	b := New(2, []float64{0.5, 0.6, 0.4, 0.7, 0.2, 0.3})
-	for i := 0; i < 3; i++ {
-		if got, want := u.Update(a), a.ConvexHull(); !bitsEqual(got.M, want.M) || got.Unit != want.Unit {
-			t.Fatalf("after switch to a: got %v (unit %g), want %v (unit %g)", got.M, got.Unit, want.M, want.Unit)
-		}
-		if got, want := u.Update(b), b.ConvexHull(); !bitsEqual(got.M, want.M) || got.Unit != want.Unit {
-			t.Fatalf("after switch to b: got %v (unit %g), want %v (unit %g)", got.M, got.Unit, want.M, want.Unit)
-		}
-	}
-}
-
-// combineGlobalSort is the Combine algorithm before the run merge, kept as
-// the bitwise reference: gather every hull's gains, sort them all
-// ascending, and spend the capacity steps back to front.
+// combineGlobalSort is the Whirlpool combination before the run merge,
+// kept as CombineHullsInto's bitwise reference: hull every curve, gather
+// every hull's gains, sort them all ascending, and spend the capacity steps
+// back to front.
 func combineGlobalSort(curves ...Curve) Curve {
 	var gains []float64
 	base := 0.0
@@ -223,7 +168,7 @@ func combineGlobalSort(curves ...Curve) Curve {
 
 // gainsInverted reports whether c's hull has a per-step gain above its
 // predecessor's — an ulp-level rounding artifact of the grid resample that
-// CombineInto must repair before merging.
+// CombineHullsInto must repair before merging.
 func gainsInverted(c Curve) bool {
 	h := c.ConvexHull()
 	for i := 2; i < len(h.M); i++ {
@@ -235,18 +180,18 @@ func gainsInverted(c Curve) bool {
 }
 
 // TestCombineMatchesGlobalSort pins the run merge bitwise to the global sort
-// on curve sets of every size Combine sees, from one curve up to a whole
-// machine's batch apps, with and without runs that need repair, and on
-// non-finite input.
+// on curve sets of every size the placers combine, from one curve up to a
+// whole machine's batch apps, with and without runs that need repair, and
+// on non-finite input.
 func TestCombineMatchesGlobalSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	repaired := 0
 	check := func(label string, curves []Curve) {
 		t.Helper()
-		got := Combine(curves...)
+		got := hullAndCombine(curves...)
 		want := combineGlobalSort(curves...)
 		if !bitsEqual(got.M, want.M) {
-			t.Fatalf("%s: Combine differs from the global-sort reference", label)
+			t.Fatalf("%s: CombineHullsInto differs from the global-sort reference", label)
 		}
 		for _, c := range curves {
 			if gainsInverted(c) {

@@ -24,16 +24,15 @@ import (
 // hull first.
 //
 // Aliasing contract: Curve is a value type with reference semantics — the
-// struct copies on assignment but M is shared backing. Methods returning a
-// Curve therefore come in two flavors. Clone, Scale, Monotone, ConvexHull
-// and Combine always return freshly allocated backing that aliases nothing.
-// The *Into variants (CloneInto, ScaleInto, ConvexHullInto, CombineInto,
-// CombineHullsInto) write into caller-provided backing — typically from an
-// Arena — and the returned curve aliases that backing. ConvexHullInto
-// additionally guarantees its result never aliases its input: passing the
-// receiver's own M as dst is detected and falls back to a fresh allocation
-// (see TestConvexHullIntoNoAlias), so the input curve is never clobbered by
-// the in-place monotone/resample passes.
+// struct copies on assignment but M is shared backing. Monotone and
+// ConvexHull return freshly allocated backing that aliases nothing. The
+// *Into functions (ScaleInto, ConvexHullInto, CombineHullsInto) write into
+// caller-provided backing — typically from an Arena — and the returned
+// curve aliases that backing. ConvexHullInto additionally guarantees its
+// result never aliases its input: passing the receiver's own M as dst is
+// detected and falls back to a fresh allocation (see
+// TestConvexHullIntoNoAlias), so the input curve is never clobbered by the
+// in-place resample pass.
 type Curve struct {
 	Unit float64   // bytes of capacity per step
 	M    []float64 // miss rate at each multiple of Unit
@@ -86,18 +85,6 @@ func (c Curve) Eval(size float64) float64 {
 	return c.M[lo]*(1-frac) + c.M[lo+1]*frac
 }
 
-// Clone returns a deep copy of the curve. The copy never aliases the
-// receiver's backing.
-func (c Curve) Clone() Curve {
-	return c.CloneInto(make([]float64, len(c.M)))
-}
-
-// Scale returns a copy of the curve with every miss rate multiplied by f.
-// It panics if f is negative. The copy never aliases the receiver's backing.
-func (c Curve) Scale(f float64) Curve {
-	return c.ScaleInto(make([]float64, len(c.M)), f)
-}
-
 // Validate checks the curve invariants the allocation algorithms rely on:
 // a positive unit, at least one point, and every point finite and
 // non-negative. With requireMonotone it additionally demands the curve be
@@ -136,7 +123,8 @@ func (c Curve) Validate(requireMonotone bool) error {
 // propagating running minima left to right. Measured curves can wiggle due
 // to sampling noise; allocation algorithms assume more capacity never hurts.
 func (c Curve) Monotone() Curve {
-	out := c.Clone()
+	out := Curve{Unit: c.Unit, M: make([]float64, len(c.M))}
+	copy(out.M, c.M)
 	for i := 1; i < len(out.M); i++ {
 		if out.M[i] > out.M[i-1] {
 			out.M[i] = out.M[i-1]
@@ -178,44 +166,11 @@ func (c Curve) IsConvex(eps float64) bool {
 	return true
 }
 
-// Add returns the pointwise sum of two curves sampled on the same grid.
-// It panics on mismatched units or lengths; curves from the same profiler
-// share a grid by construction.
-func Add(a, b Curve) Curve {
-	if a.Unit != b.Unit || len(a.M) != len(b.M) {
-		panic("mrc: Add on mismatched curves")
-	}
-	m := make([]float64, len(a.M))
-	for i := range m {
-		m[i] = a.M[i] + b.M[i]
-	}
-	return Curve{Unit: a.Unit, M: m}
-}
-
-// Combine computes the combined miss curve of several applications sharing a
-// pooled allocation that is optimally partitioned among them — the Whirlpool
-// Appendix-B model the paper uses to form per-VM curves. combined(S) =
-// min over {s_i : sum s_i = S} of sum_i curve_i(s_i).
-//
-// For convex curves the greedy marginal-utility construction is exactly
-// optimal; Combine therefore takes the hull of each input first (which also
-// matches the paper's DRRIP approximation). All inputs must share a unit.
-// The result has steps = sum of the inputs' steps.
-//
-// The greedy construction spends each capacity step on the largest
-// remaining per-step gain of any hull. Each hull's gains already form a
-// descending run, so Combine merges the runs instead of sorting every gain
-// (see CombineHullsInto); the result is bitwise what a global sort gives.
-// Gains containing NaN fall back to that global sort.
-func Combine(curves ...Curve) Curve {
-	return CombineInto(make([]float64, combinedLen(curves)), curves...)
-}
-
 // combinedLen is the point count of the combination of curves: one more
 // than the sum of their steps.
 func combinedLen(curves []Curve) int {
 	if len(curves) == 0 {
-		panic("mrc: Combine of no curves")
+		panic("mrc: CombineHulls of no curves")
 	}
 	n := 1
 	for _, c := range curves {

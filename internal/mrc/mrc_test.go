@@ -148,27 +148,16 @@ func TestIsConvexRejectsIncreasing(t *testing.T) {
 
 func TestScaleAndAdd(t *testing.T) {
 	a := New(1, []float64{4, 2})
-	b := New(1, []float64{1, 1})
-	s := a.Scale(0.5)
+	s := a.ScaleInto(make([]float64, 2), 0.5)
 	if s.M[0] != 2 || s.M[1] != 1 {
-		t.Errorf("Scale = %v", s.M)
+		t.Errorf("ScaleInto = %v", s.M)
 	}
-	sum := Add(a, b)
-	if sum.M[0] != 5 || sum.M[1] != 3 {
-		t.Errorf("Add = %v", sum.M)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Add with mismatched curves should panic")
-		}
-	}()
-	Add(a, New(2, []float64{1, 1}))
 }
 
 func TestCombineTwoIdenticalConvex(t *testing.T) {
 	// Two identical convex curves: combined(2s) = 2*curve(s).
 	c := New(1, []float64{8, 4, 2, 1})
-	comb := Combine(c, c)
+	comb := hullAndCombine(c, c)
 	if len(comb.M) != 7 {
 		t.Fatalf("combined curve has %d points, want 7", len(comb.M))
 	}
@@ -186,13 +175,13 @@ func TestCombineTwoIdenticalConvex(t *testing.T) {
 }
 
 func TestCombineIsOptimalForConvexCurves(t *testing.T) {
-	// Brute-force check: for random convex curves, Combine must match the
-	// exhaustive minimum over all integer splits.
+	// Brute-force check: for random convex curves, the combined curve must
+	// match the exhaustive minimum over all integer splits.
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		a := randomConvexCurve(rng, 6)
 		b := randomConvexCurve(rng, 5)
-		comb := Combine(a, b)
+		comb := hullAndCombine(a, b)
 		na, nb := len(a.M)-1, len(b.M)-1
 		ha, hb := a.ConvexHull(), b.ConvexHull()
 		for s := 0; s <= na+nb; s++ {
@@ -207,7 +196,7 @@ func TestCombineIsOptimalForConvexCurves(t *testing.T) {
 				}
 			}
 			if math.Abs(comb.M[s]-best) > 1e-6 {
-				t.Fatalf("trial %d: Combine at %d = %v, brute force = %v", trial, s, comb.M[s], best)
+				t.Fatalf("trial %d: combined at %d = %v, brute force = %v", trial, s, comb.M[s], best)
 			}
 		}
 	}
@@ -235,7 +224,7 @@ func TestCombineMonotoneProperty(t *testing.T) {
 		a := randomConvexCurve(rng, 1+rng.Intn(10))
 		b := randomConvexCurve(rng, 1+rng.Intn(10))
 		c := randomConvexCurve(rng, 1+rng.Intn(10))
-		comb := Combine(a, b, c)
+		comb := hullAndCombine(a, b, c)
 		for i := 1; i < len(comb.M); i++ {
 			if comb.M[i] > comb.M[i-1]+1e-9 {
 				return false
@@ -251,10 +240,10 @@ func TestCombineMonotoneProperty(t *testing.T) {
 func TestCombinePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Combine() should panic")
+			t.Error("combining no curves should panic")
 		}
 	}()
-	Combine()
+	hullAndCombine()
 }
 
 func TestCombineMismatchedUnitsPanics(t *testing.T) {
@@ -263,5 +252,5 @@ func TestCombineMismatchedUnitsPanics(t *testing.T) {
 			t.Error("mismatched units should panic")
 		}
 	}()
-	Combine(New(1, []float64{1, 0}), New(2, []float64{1, 0}))
+	hullAndCombine(New(1, []float64{1, 0}), New(2, []float64{1, 0}))
 }

@@ -233,10 +233,9 @@ type provKey struct {
 // hot loops should hoist `on := in.Prov.Enabled()` and skip argument
 // computation (hop distances etc.) when off.
 //
-// ProvRecorder is not safe for concurrent use. The sharded wrapper's
-// parallel region placement gives each region goroutine a private
-// sub-recorder (Region) and adopts them serially in ascending region order
-// (Adopt), which keeps the flushed stream byte-identical to a serial run.
+// ProvRecorder is not safe for concurrent use. The sharded wrapper gives
+// each region's placement a private sub-recorder (Region) and adopts them
+// in ascending region order (Adopt).
 type ProvRecorder struct {
 	log    *EventLog
 	design string
@@ -444,9 +443,9 @@ func (r *ProvRecorder) Region(region int, mapApp, mapBank func(int) int) *ProvRe
 	}
 }
 
-// Adopt appends a region sub-recorder's decisions and valves. Callers must
-// adopt regions in ascending region order so parallel placement flushes a
-// byte-identical stream to serial placement. Nil-safe on both sides.
+// Adopt appends a region sub-recorder's decisions and valves. Callers adopt
+// regions in ascending region order, the order the sharded placer merges
+// them in, so the flushed stream is deterministic. Nil-safe on both sides.
 func (r *ProvRecorder) Adopt(sub *ProvRecorder) {
 	if r == nil || sub == nil {
 		return
