@@ -451,24 +451,26 @@ func (b *Bank) findVictim(set []line, mask uint64) int {
 	}
 }
 
-// FlushPartition invalidates every line owned by p and returns the count.
-// Jumanji flushes shared banks on VM context switches when VMs outnumber
-// banks (Sec. IV-B).
-func (b *Bank) FlushPartition(p PartitionID) int {
-	return b.invalidate(func(_ uint64, l *line) bool { return l.part == p })
-}
-
-// FlushAll invalidates the whole bank and returns the number of lines dropped.
-func (b *Bank) FlushAll() int {
-	return b.invalidate(func(_ uint64, _ *line) bool { return true })
-}
-
-// InvalidateWhere walks the array and invalidates lines whose reconstructed
-// base address satisfies pred, returning the count. This models the
-// background invalidation walk Jigsaw's hardware performs when data
-// placement changes (Sec. IV-A "Coherence").
+// InvalidateWhere walks every valid line and invalidates those whose
+// reconstructed base address, ((tag << setBits) | set) << setShift,
+// satisfies pred, returning the count. This models the background
+// invalidation walk Jigsaw's hardware performs when data placement changes
+// (Sec. IV-A "Coherence").
 func (b *Bank) InvalidateWhere(pred func(lineAddr uint64) bool) int {
-	return b.invalidate(func(addr uint64, _ *line) bool { return pred(addr) })
+	n := 0
+	for si := range b.sets {
+		for w := range b.sets[si] {
+			l := &b.sets[si][w]
+			if !l.valid {
+				continue
+			}
+			if pred(b.lineAddr(l.tag, si)) {
+				l.valid = false
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Invalidate drops the line whose base address is lineAddr and returns the
@@ -494,26 +496,6 @@ func (b *Bank) Invalidate(lineAddr uint64) int {
 	return n
 }
 
-// invalidate walks every valid line, invalidating those for which pred
-// returns true. The first argument to pred is the line's reconstructed base
-// address: addr = ((tag << setBits) | set) << setShift.
-func (b *Bank) invalidate(pred func(addr uint64, l *line) bool) int {
-	n := 0
-	for si := range b.sets {
-		for w := range b.sets[si] {
-			l := &b.sets[si][w]
-			if !l.valid {
-				continue
-			}
-			if pred(b.lineAddr(l.tag, si), l) {
-				l.valid = false
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // OccupancyOf returns the number of valid lines owned by partition p.
 func (b *Bank) OccupancyOf(p PartitionID) int {
 	n := 0
@@ -525,26 +507,4 @@ func (b *Bank) OccupancyOf(p PartitionID) int {
 		}
 	}
 	return n
-}
-
-// Partitions returns the IDs of partitions that currently hold any line or
-// have a way mask configured. The security vulnerability metric counts the
-// distinct untrusted partitions occupying a bank.
-func (b *Bank) Partitions() []PartitionID {
-	seen := make(map[PartitionID]bool)
-	for si := range b.sets {
-		for w := range b.sets[si] {
-			if b.sets[si][w].valid {
-				seen[b.sets[si][w].part] = true
-			}
-		}
-	}
-	for p := range b.masks {
-		seen[p] = true
-	}
-	out := make([]PartitionID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	return out
 }

@@ -214,26 +214,6 @@ func TestDuelingSharedAcrossPartitions(t *testing.T) {
 	}
 }
 
-func TestFlushPartition(t *testing.T) {
-	b := New(smallConfig(LRU))
-	cfg := b.Config()
-	b.Access(addrFor(cfg, 0, 1), 0)
-	b.Access(addrFor(cfg, 0, 2), 1)
-	b.Access(addrFor(cfg, 1, 3), 1)
-	if n := b.FlushPartition(1); n != 2 {
-		t.Errorf("FlushPartition(1) = %d, want 2", n)
-	}
-	if !b.Probe(addrFor(cfg, 0, 1)) {
-		t.Error("flush of partition 1 removed partition 0's line")
-	}
-	if b.Probe(addrFor(cfg, 0, 2)) || b.Probe(addrFor(cfg, 1, 3)) {
-		t.Error("partition 1 lines survived flush")
-	}
-	if n := b.FlushAll(); n != 1 {
-		t.Errorf("FlushAll = %d, want 1", n)
-	}
-}
-
 func TestInvalidateWhereReconstructsAddresses(t *testing.T) {
 	b := New(smallConfig(LRU))
 	cfg := b.Config()
@@ -260,21 +240,6 @@ func TestOwnerOf(t *testing.T) {
 	b.Access(addr, 7)
 	if p, ok := b.OwnerOf(addr); !ok || p != 7 {
 		t.Errorf("OwnerOf = %v, %v; want 7, true", p, ok)
-	}
-}
-
-func TestPartitionsListing(t *testing.T) {
-	b := New(smallConfig(LRU))
-	cfg := b.Config()
-	b.Access(addrFor(cfg, 0, 1), 3)
-	b.SetWayMask(5, 0b1)
-	parts := b.Partitions()
-	seen := map[PartitionID]bool{}
-	for _, p := range parts {
-		seen[p] = true
-	}
-	if !seen[3] || !seen[5] {
-		t.Errorf("Partitions = %v, want to include 3 and 5", parts)
 	}
 }
 

@@ -67,9 +67,6 @@ func (t *TimedLLC) Instrument(reg *obs.Registry) {
 // Bank returns the timed bank at tile b.
 func (t *TimedLLC) Bank(b topo.TileID) *bank.TimedBank { return t.banks[b] }
 
-// Network returns the underlying NoC.
-func (t *TimedLLC) Network() *noc.Network { return t.net }
-
 // Result is the outcome of a timed LLC access.
 type Result struct {
 	Hit     bool

@@ -121,7 +121,7 @@ func TestAllocGuardPlaceHullRebuild(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector; guarded by the non-race CI step")
 	}
 	in, pl, _ := allocGuardPlacement()
-	app := in.BatchApps()[0]
+	app := in.AppendBatchApps(nil)[0]
 	rates := [2]float64{in.Apps[app].AccessRate, 1.5 * in.Apps[app].AccessRate}
 	for _, p := range []ScratchPlacer{JumanjiPlacer{}, JigsawPlacer{}, VMPartPlacer{}, IdealBatchPlacer{}} {
 		k := 0

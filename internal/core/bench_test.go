@@ -45,7 +45,7 @@ func BenchmarkPlacementOps(b *testing.B) {
 		for bk := 0; bk < in.Machine.Banks(); bk++ {
 			id := topo.TileID(bk)
 			sink += cur.BankUsed(id)
-			sink += float64(len(cur.VMsSharingBank(in, id)))
+			sink += float64(len(cur.AppendVMsSharingBank(nil, in, id)))
 		}
 	}
 	_ = sink

@@ -116,7 +116,7 @@ func TestJumanjiMeetsLatencyReservations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := testWorkload(4, 4, rng)
 	pl := JumanjiPlacer{}.Place(in)
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		got := pl.TotalOf(app)
 		want := in.LatSizes[app]
 		if got < want-1e-6 {
@@ -129,7 +129,7 @@ func TestJumanjiPlacesLatCritNearby(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := testWorkload(4, 4, rng)
 	pl := JumanjiPlacer{}.Place(in)
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		hops := pl.AvgHops(app, in.Apps[app].Core)
 		// A 2 MB allocation fits in 2 banks; nearest banks are ≤ 1 hop.
 		if hops > 1.5 {
@@ -146,7 +146,7 @@ func TestJigsawStarvesLatencyCritical(t *testing.T) {
 	in := testWorkload(4, 4, rng)
 	jig := JigsawPlacer{}.Place(in)
 	jum := JumanjiPlacer{}.Place(in)
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		if jig.TotalOf(app) > 0.5*jum.TotalOf(app) {
 			t.Errorf("LC app %d: Jigsaw gave %g, Jumanji %g — expected Jigsaw to starve it",
 				app, jig.TotalOf(app), jum.TotalOf(app))
@@ -159,7 +159,7 @@ func TestStaticGivesFourWays(t *testing.T) {
 	in := testWorkload(4, 4, rng)
 	pl := StaticPlacer{}.Place(in)
 	want := 4 * in.Machine.WayBytes() * float64(in.Machine.Banks())
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		if got := pl.TotalOf(app); math.Abs(got-want) > 1 {
 			t.Errorf("LC app %d: %g bytes, want %g (4 ways)", app, got, want)
 		}
@@ -175,7 +175,7 @@ func TestSNUCADesignsShareEveryBank(t *testing.T) {
 	for _, p := range []Placer{AdaptivePlacer{}, VMPartPlacer{}} {
 		pl := p.Place(in)
 		for b := 0; b < in.Machine.Banks(); b++ {
-			apps := pl.AppsInBank(topo.TileID(b))
+			apps := pl.AppendAppsInBank(nil, topo.TileID(b))
 			if len(apps) != len(in.Apps) {
 				t.Errorf("%s: bank %d holds %d apps, want all %d", p.Name(), b, len(apps), len(in.Apps))
 			}
@@ -191,7 +191,7 @@ func TestVMPartReducesBatchAssociativity(t *testing.T) {
 	in := testWorkload(4, 4, rng)
 	vp := VMPartPlacer{}.Place(in)
 	ad := AdaptivePlacer{}.Place(in)
-	for _, app := range in.BatchApps() {
+	for _, app := range in.AppendBatchApps(nil) {
 		if vp.MeanWays(app) >= ad.MeanWays(app) {
 			t.Errorf("batch app %d: VM-Part ways %.1f !< Adaptive ways %.1f",
 				app, vp.MeanWays(app), ad.MeanWays(app))
@@ -207,7 +207,7 @@ func TestDNUCAKeepsHighAssociativity(t *testing.T) {
 	jum := JumanjiPlacer{}.Place(in)
 	vp := VMPartPlacer{}.Place(in)
 	var jumWays, vpWays float64
-	batch := in.BatchApps()
+	batch := in.AppendBatchApps(nil)
 	for _, app := range batch {
 		jumWays += jum.MeanWays(app)
 		vpWays += vp.MeanWays(app)
@@ -225,7 +225,7 @@ func TestJumanjiInsecureNotIsolatedButNearby(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Insecure still reserves LC space.
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		if pl.TotalOf(app) < in.LatSizes[app]-1e-6 {
 			t.Errorf("Insecure shortchanged LC app %d", app)
 		}
@@ -239,12 +239,12 @@ func TestIdealBatchOverlay(t *testing.T) {
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range in.BatchApps() {
+	for _, app := range in.AppendBatchApps(nil) {
 		if !pl.Overlay(app) {
 			t.Errorf("batch app %d not in overlay", app)
 		}
 	}
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		if pl.Overlay(app) {
 			t.Errorf("LC app %d must stay in the physical LLC", app)
 		}
@@ -255,7 +255,7 @@ func TestIdealBatchOverlay(t *testing.T) {
 		total += pl.BankUsed(topo.TileID(b))
 	}
 	latTotal := 0.0
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		latTotal += pl.TotalOf(app)
 	}
 	if math.Abs(total-latTotal) > 1 {
@@ -397,15 +397,15 @@ func TestInputValidate(t *testing.T) {
 func TestVMsAndAppsOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	in := testWorkload(3, 2, rng)
-	vms := in.VMs()
+	vms := in.AppendVMs(nil)
 	if len(vms) != 3 || vms[0] != 0 || vms[2] != 2 {
 		t.Errorf("VMs = %v", vms)
 	}
-	lat, batch := in.AppsOf(1)
+	lat, batch := in.AppendAppsOf(nil, nil, 1)
 	if len(lat) != 1 || len(batch) != 2 {
 		t.Errorf("AppsOf(1) = %v, %v", lat, batch)
 	}
-	if len(in.LatCritApps()) != 3 || len(in.BatchApps()) != 6 {
+	if len(in.AppendLatCritApps(nil)) != 3 || len(in.AppendBatchApps(nil)) != 6 {
 		t.Error("LatCritApps/BatchApps counts wrong")
 	}
 }
@@ -426,7 +426,7 @@ func TestPlacementAccessors(t *testing.T) {
 	if got := pl.BankUsed(5); got != 300 {
 		t.Errorf("BankUsed = %v", got)
 	}
-	if apps := pl.AppsInBank(5); len(apps) != 1 || apps[0] != 0 {
+	if apps := pl.AppendAppsInBank(nil, 5); len(apps) != 1 || apps[0] != 0 {
 		t.Errorf("AppsInBank = %v", apps)
 	}
 }
@@ -534,7 +534,7 @@ func TestFixedPlacerBothModes(t *testing.T) {
 			t.Fatalf("nearest=%v: %v", nearest, err)
 		}
 		// Fixed allocations honor LatSizes exactly (modulo the one-way floor).
-		for _, app := range in.LatCritApps() {
+		for _, app := range in.AppendLatCritApps(nil) {
 			if got := pl.TotalOf(app); math.Abs(got-in.LatSizes[app]) > in.Machine.WayBytes() {
 				t.Errorf("nearest=%v app %d: %g bytes, want %g", nearest, app, got, in.LatSizes[app])
 			}
@@ -543,7 +543,7 @@ func TestFixedPlacerBothModes(t *testing.T) {
 	// D-NUCA mode places closer than S-NUCA mode.
 	near := FixedPlacer{Nearest: true}.Place(in)
 	far := FixedPlacer{Nearest: false}.Place(in)
-	app := in.LatCritApps()[0]
+	app := in.AppendLatCritApps(nil)[0]
 	if near.AvgHops(app, in.Apps[app].Core) >= far.AvgHops(app, in.Apps[app].Core) {
 		t.Error("nearest mode not closer than striped mode")
 	}

@@ -28,7 +28,7 @@ func TestStaticFleetScale(t *testing.T) {
 	}
 	// Every LC app gets the same positive allocation, below the historical
 	// 4-way stripe.
-	lat := in.LatCritApps()
+	lat := in.AppendLatCritApps(nil)
 	fourWays := 4 * in.Machine.WayBytes() * float64(in.Machine.Banks())
 	want := pl.TotalOf(lat[0])
 	for _, app := range lat {
@@ -41,7 +41,7 @@ func TestStaticFleetScale(t *testing.T) {
 		}
 	}
 	// Batch still has its reserved way.
-	for _, app := range in.BatchApps() {
+	for _, app := range in.AppendBatchApps(nil) {
 		if pl.TotalOf(app) <= 0 {
 			t.Fatalf("batch app %d starved", app)
 		}
@@ -54,7 +54,7 @@ func TestStaticSmallUnchanged(t *testing.T) {
 	in := testWorkload(4, 4, rand.New(rand.NewSource(7)))
 	pl := StaticPlacer{}.Place(in)
 	fourWays := 4 * in.Machine.WayBytes() * float64(in.Machine.Banks())
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		if got := pl.TotalOf(app); got != fourWays {
 			t.Fatalf("LC allocation %g, want exactly the historical %g", got, fourWays)
 		}
@@ -75,7 +75,7 @@ func TestVMPartFleetScale(t *testing.T) {
 	if err := pl.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range in.BatchApps() {
+	for _, app := range in.AppendBatchApps(nil) {
 		if pl.TotalOf(app) <= 0 {
 			t.Fatalf("batch app %d starved", app)
 		}

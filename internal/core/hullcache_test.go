@@ -125,7 +125,7 @@ func TestHullCacheRebuildsOnChange(t *testing.T) {
 		if hulled == 0 || c.Current != 0 {
 			t.Fatalf("%s: first placement built %d hulls and reused %d", inner.Name(), c.Built, c.Current)
 		}
-		batch := in.BatchApps()
+		batch := in.AppendBatchApps(nil)
 		steps := []struct {
 			name    string
 			change  func()
@@ -232,8 +232,8 @@ func TestHullCacheShrinkRetriesAndFold(t *testing.T) {
 func TestIdealBatchCurvesMatchCombineInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, in := range []*Input{testWorkload(4, 4, rng), testWorkload(2, 8, rng), fleetInput(t, 8, 7)} {
-		for _, vm := range in.VMs() {
-			_, batch := in.AppsOf(vm)
+		for _, vm := range in.AppendVMs(nil) {
+			_, batch := in.AppendAppsOf(nil, nil, vm)
 			if len(batch) == 0 {
 				continue
 			}

@@ -53,7 +53,7 @@ func (c *LazyCounts) Check(t testing.TB, in *Input, sites ...int) {
 		sites = []int{SiteVMPart, SiteBanks, SiteRegions}
 	}
 	c.check(t, in, "clean", sites)
-	batch := in.BatchApps()
+	batch := in.AppendBatchApps(nil)
 	if len(batch) == 0 {
 		return
 	}
@@ -162,7 +162,7 @@ func eagerVMPartPlace(in *Input, pl *Placement) ([]float64, outcome) {
 	poolWays := placeAdaptiveLatCrit(in, pl, s)
 	sizes, vms, o := eagerVMPartWays(in, s, poolWays)
 	for i, vm := range vms {
-		_, batch := in.AppsOf(vm)
+		_, batch := in.AppendAppsOf(nil, nil, vm)
 		vmWaysPerBank := sizes[i] / wayStripeBytes(in)
 		split := sharedPoolSplitMap(in, batch, sizes[i])
 		for _, app := range batch {
@@ -179,8 +179,8 @@ func eagerVMPartPlace(in *Input, pl *Placement) ([]float64, outcome) {
 func eagerVMPartWays(in *Input, s *placeScratch, poolWays float64) ([]float64, []VMID, outcome) {
 	var reqs []lookahead.Request
 	var vmsWithBatch []VMID
-	for _, vm := range in.VMs() {
-		_, batch := in.AppsOf(vm)
+	for _, vm := range in.AppendVMs(nil) {
+		_, batch := in.AppendAppsOf(nil, nil, vm)
 		if len(batch) == 0 {
 			continue
 		}
@@ -308,13 +308,13 @@ func eagerJumanjiLookahead(in *Input, pl *Placement, s *placeScratch) ([]float64
 	vms := s.vms
 	latOf := s.latOf
 	clear(latOf)
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		latOf[in.Apps[app].VM] += pl.TotalOf(app)
 	}
 	var reqs []lookahead.Request
 	minTotal := 0.0
 	for _, vm := range vms {
-		_, batch := in.AppsOf(vm)
+		_, batch := in.AppendAppsOf(nil, nil, vm)
 		curve := flatCurve(in, &s.arena)
 		if len(batch) > 0 {
 			curve = s.arena.ConvexHull(combinedBatchHullArena(s, in, batch))
@@ -383,7 +383,7 @@ func eagerVMBankNeeds(in *Input, s *shardScratch) outcome {
 	var reqs []lookahead.Request
 	latTotal, minTotal := 0.0, 0.0
 	for _, vm := range s.vms {
-		latApps, batch := in.AppsOf(vm)
+		latApps, batch := in.AppendAppsOf(nil, nil, vm)
 		lat := 0.0
 		for _, app := range latApps {
 			sz := in.LatSizes[app]
@@ -496,9 +496,9 @@ func TestLazyCurvesMatchEager(t *testing.T) {
 func TestSharedPoolSplitMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, in := range []*Input{testWorkload(4, 4, rng), fleetInput(t, 16, 28)} {
-		sets := [][]AppID{in.BatchApps(), nil}
-		for _, vm := range in.VMs() {
-			_, batch := in.AppsOf(vm)
+		sets := [][]AppID{in.AppendBatchApps(nil), nil}
+		for _, vm := range in.AppendVMs(nil) {
+			_, batch := in.AppendAppsOf(nil, nil, vm)
 			sets = append(sets, batch)
 		}
 		s := getPlaceScratch(in)
@@ -570,7 +570,7 @@ func TestProvenanceDoesNotSteerPlacement(t *testing.T) {
 func TestMismatchedBatchUnitsPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, in := range []*Input{testWorkload(4, 4, rng), fleetInput(t, 16, 28)} {
-		_, batch := in.AppsOf(0)
+		_, batch := in.AppendAppsOf(nil, nil, 0)
 		c := in.Apps[batch[1]].MissRatio
 		in.Apps[batch[1]].MissRatio = mrc.Curve{Unit: 2 * c.Unit, M: c.M}
 		for _, p := range []Placer{VMPartPlacer{}, JumanjiPlacer{}} {

@@ -285,15 +285,10 @@ func (p *Placement) BanksOf(app AppID) (banks []topo.TileID, bytes []float64) {
 	return banks, bytes
 }
 
-// AppsInBank returns the applications holding space in bank b, ascending.
-// Overlay applications are excluded: they are not physically in the bank.
-func (p *Placement) AppsInBank(b topo.TileID) []AppID {
-	return p.AppendAppsInBank(nil, b)
-}
-
-// AppendAppsInBank appends the applications holding space in bank b
-// (ascending, overlay excluded) to dst and returns it. Passing a reused
-// dst[:0] makes the per-epoch security sweep allocation-free.
+// AppendAppsInBank appends the applications holding space in bank b,
+// ascending, to dst and returns it. Overlay applications are excluded: they
+// are not physically in the bank. Passing a reused dst[:0] makes the
+// per-epoch security sweep allocation-free.
 func (p *Placement) AppendAppsInBank(dst []AppID, b topo.TileID) []AppID {
 	for app := 0; app < p.napps; app++ {
 		if p.overlay[app] {
@@ -401,14 +396,9 @@ func (p *Placement) Validate(in *Input) error {
 	return nil
 }
 
-// VMsSharingBank returns the distinct VMs with physical space in bank b.
-func (p *Placement) VMsSharingBank(in *Input, b topo.TileID) []VMID {
-	return p.AppendVMsSharingBank(nil, in, b)
-}
-
 // AppendVMsSharingBank appends the distinct VMs with physical space in bank
-// b to dst (ascending) and returns it. Passing a reused dst[:0] avoids the
-// per-call allocation of VMsSharingBank.
+// b to dst (ascending) and returns it. Passing a reused dst[:0] avoids a
+// per-call allocation.
 func (p *Placement) AppendVMsSharingBank(dst []VMID, in *Input, b topo.TileID) []VMID {
 	start := len(dst)
 	for app := 0; app < p.napps; app++ {

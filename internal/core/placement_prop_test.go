@@ -96,7 +96,7 @@ func (p *refPlacement) BanksOf(app AppID) (banks []topo.TileID, bytes []float64)
 	return banks, bytes
 }
 
-func (p *refPlacement) AppsInBank(b topo.TileID) []AppID {
+func (p *refPlacement) AppendAppsInBank(dst []AppID, b topo.TileID) []AppID {
 	var out []AppID
 	for app, banks := range p.Alloc {
 		if p.OverlayApps[app] {
@@ -107,15 +107,20 @@ func (p *refPlacement) AppsInBank(b topo.TileID) []AppID {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(dst, out...)
 }
 
 func (p *refPlacement) AvgHops(app AppID, core topo.TileID) float64 {
 	banks, bytes := p.BanksOf(app)
-	if len(banks) == 0 {
+	total, sum := 0.0, 0.0
+	for i, b := range banks {
+		total += bytes[i] * float64(p.Machine.Mesh.Hops(core, b))
+		sum += bytes[i]
+	}
+	if sum <= 0 {
 		return 0
 	}
-	return p.Machine.Mesh.AvgHops(core, banks, bytes)
+	return total / sum
 }
 
 func (p *refPlacement) MeanWays(app AppID) float64 {
@@ -165,9 +170,9 @@ func (p *refPlacement) Validate(in *Input) error {
 	return nil
 }
 
-func (p *refPlacement) VMsSharingBank(in *Input, b topo.TileID) []VMID {
+func (p *refPlacement) AppendVMsSharingBank(dst []VMID, in *Input, b topo.TileID) []VMID {
 	seen := make(map[VMID]bool)
-	for _, app := range p.AppsInBank(b) {
+	for _, app := range p.AppendAppsInBank(nil, b) {
 		seen[in.Apps[app].VM] = true
 	}
 	out := make([]VMID, 0, len(seen))
@@ -175,7 +180,7 @@ func (p *refPlacement) VMsSharingBank(in *Input, b topo.TileID) []VMID {
 		out = append(out, vm)
 	}
 	sortVMIDs(out)
-	return out
+	return append(dst, out...)
 }
 
 func (p *refPlacement) MovedFraction(app AppID, prev *refPlacement) float64 {
@@ -328,22 +333,22 @@ func comparePair(t *testing.T, in *Input, dense, densePrev *Placement, ref, refP
 		if got, want := dense.BankUsed(id), ref.BankUsed(id); got != want {
 			t.Fatalf("BankUsed(%d) = %v, ref %v", b, got, want)
 		}
-		ga, wa := dense.AppsInBank(id), ref.AppsInBank(id)
+		ga, wa := dense.AppendAppsInBank(nil, id), ref.AppendAppsInBank(nil, id)
 		if len(ga) != len(wa) {
-			t.Fatalf("AppsInBank(%d): %v, ref %v", b, ga, wa)
+			t.Fatalf("AppendAppsInBank(%d): %v, ref %v", b, ga, wa)
 		}
 		for i := range ga {
 			if ga[i] != wa[i] {
-				t.Fatalf("AppsInBank(%d): %v, ref %v", b, ga, wa)
+				t.Fatalf("AppendAppsInBank(%d): %v, ref %v", b, ga, wa)
 			}
 		}
-		gv, wv := dense.VMsSharingBank(in, id), ref.VMsSharingBank(in, id)
+		gv, wv := dense.AppendVMsSharingBank(nil, in, id), ref.AppendVMsSharingBank(nil, in, id)
 		if len(gv) != len(wv) {
-			t.Fatalf("VMsSharingBank(%d): %v, ref %v", b, gv, wv)
+			t.Fatalf("AppendVMsSharingBank(%d): %v, ref %v", b, gv, wv)
 		}
 		for i := range gv {
 			if gv[i] != wv[i] {
-				t.Fatalf("VMsSharingBank(%d): %v, ref %v", b, gv, wv)
+				t.Fatalf("AppendVMsSharingBank(%d): %v, ref %v", b, gv, wv)
 			}
 		}
 		gm, wm := dense.WayMasks(id), ref.WayMasks(id)

@@ -32,7 +32,7 @@ func TestTradePlacerNeverPenalizesLatencyCritical(t *testing.T) {
 	base := JumanjiPlacer{}.Place(in)
 	p := &TradePlacer{}
 	traded := p.Place(in)
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		spec := in.Apps[app]
 		cost := func(pl *Placement) float64 {
 			hops := pl.AvgHops(app, spec.Core)
@@ -86,7 +86,7 @@ func TestTradePlacerMatchesJumanjiWhenNoBatch(t *testing.T) {
 	p := &TradePlacer{}
 	traded := p.Place(in)
 	base := JumanjiPlacer{}.Place(in)
-	for _, app := range in.LatCritApps() {
+	for _, app := range in.AppendLatCritApps(nil) {
 		if math.Abs(traded.TotalOf(app)-base.TotalOf(app)) > 1 {
 			t.Errorf("app %d differs without batch apps present", app)
 		}

@@ -125,15 +125,11 @@ func (in *Input) Validate() error {
 	return nil
 }
 
-// VMs returns the distinct VM IDs present, in ascending order.
-func (in *Input) VMs() []VMID {
-	return in.AppendVMs(nil)
-}
-
-// AppendVMs is VMs appending to dst (pass dst[:0] to reuse its backing across
-// epochs, per the Append protocol) and returning the extended slice. Dedup is
-// a linear scan over the appended region — VM counts are bounded by the bank
-// count, where the scan beats a map both in time and in allocation.
+// AppendVMs appends the distinct VM IDs present, in ascending order, to dst
+// (pass dst[:0] to reuse its backing across epochs, per the Append protocol)
+// and returns the extended slice. Dedup is a linear scan over the appended
+// region — VM counts are bounded by the bank count, where the scan beats a
+// map both in time and in allocation.
 func (in *Input) AppendVMs(dst []VMID) []VMID {
 	base := len(dst)
 	for _, a := range in.Apps {
@@ -160,14 +156,9 @@ func sortVMIDs(v []VMID) {
 	}
 }
 
-// AppsOf returns the app IDs in vm, split into latency-critical and batch.
-func (in *Input) AppsOf(vm VMID) (latCrit, batch []AppID) {
-	return in.AppendAppsOf(nil, nil, vm)
-}
-
-// AppendAppsOf is AppsOf appending to latDst and batchDst (pass dst[:0] to
-// reuse backing across epochs, per the Append protocol) and returning the
-// extended slices.
+// AppendAppsOf appends the app IDs in vm, split into latency-critical and
+// batch, to latDst and batchDst (pass dst[:0] to reuse backing across epochs,
+// per the Append protocol) and returns the extended slices.
 func (in *Input) AppendAppsOf(latDst, batchDst []AppID, vm VMID) (latCrit, batch []AppID) {
 	for i, a := range in.Apps {
 		if a.VM != vm {
@@ -182,12 +173,8 @@ func (in *Input) AppendAppsOf(latDst, batchDst []AppID, vm VMID) (latCrit, batch
 	return latDst, batchDst
 }
 
-// LatCritApps returns all latency-critical app IDs in app order.
-func (in *Input) LatCritApps() []AppID {
-	return in.AppendLatCritApps(nil)
-}
-
-// AppendLatCritApps is LatCritApps under the Append protocol.
+// AppendLatCritApps appends all latency-critical app IDs, in app order, to
+// dst under the Append protocol.
 func (in *Input) AppendLatCritApps(dst []AppID) []AppID {
 	for i, a := range in.Apps {
 		if a.LatencyCritical {
@@ -197,12 +184,8 @@ func (in *Input) AppendLatCritApps(dst []AppID) []AppID {
 	return dst
 }
 
-// BatchApps returns all batch app IDs in app order.
-func (in *Input) BatchApps() []AppID {
-	return in.AppendBatchApps(nil)
-}
-
-// AppendBatchApps is BatchApps under the Append protocol.
+// AppendBatchApps appends all batch app IDs, in app order, to dst under the
+// Append protocol.
 func (in *Input) AppendBatchApps(dst []AppID) []AppID {
 	for i, a := range in.Apps {
 		if !a.LatencyCritical {

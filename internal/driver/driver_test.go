@@ -206,11 +206,11 @@ func TestValidateModelAgainstDetailed(t *testing.T) {
 	// detailed hierarchy within modest tolerances for all four canonical
 	// reuse patterns.
 	for _, p := range []core.Placer{core.JumanjiPlacer{}, core.JigsawPlacer{}} {
-		rows, err := Validate(StandardValidationConfig(p), 6)
+		d, err := New(StandardValidationConfig(p))
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
-		for _, r := range rows {
+		for _, r := range ValidateDriver(d, 6) {
 			if r.LLCShare < 0.02 {
 				// Private caches filter essentially everything: the LLC
 				// miss ratio is a ratio of near-zeros with no performance

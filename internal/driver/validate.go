@@ -28,22 +28,13 @@ type ValidationRow struct {
 	LLCShare float64
 }
 
-// Validate runs the detailed simulator for `epochs` reconfiguration epochs
-// and cross-checks the analytic model's two load-bearing predictions —
+// ValidateDriver runs the detailed simulator d for `epochs` reconfiguration
+// epochs and cross-checks the analytic model's two load-bearing predictions —
 // miss ratio at the granted allocation, and average hop distance — against
-// ground truth. This is the evidence that the epoch model used for the
-// big sweeps (internal/system) predicts what the detailed hierarchy does.
-func Validate(cfg Config, epochs int) ([]ValidationRow, error) {
-	d, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return ValidateDriver(d, epochs), nil
-}
-
-// ValidateDriver is Validate on an already-constructed driver, so callers
-// that need the driver afterwards (e.g. cmd/validate's counter cross-check)
-// can keep it.
+// ground truth. This is the evidence that the epoch model used for the big
+// sweeps (internal/system) predicts what the detailed hierarchy does. The
+// caller keeps d for anything it reads afterwards (e.g. cmd/validate's
+// counter cross-check).
 func ValidateDriver(d *Driver, epochs int) []ValidationRow {
 	cfg := d.cfg
 	var last EpochStats

@@ -135,9 +135,6 @@ func New(params Params, deadline, initial, minSize, maxSize, panicSize float64) 
 // Size returns the current allocation in bytes.
 func (c *Controller) Size() float64 { return c.size }
 
-// Deadline returns the tail-latency deadline.
-func (c *Controller) Deadline() float64 { return c.deadline }
-
 // CheckBounds verifies the controller's saturation invariant: the current
 // allocation is finite and inside [minSize, maxSize]. Update clamps on every
 // decision, so a violation means the controller's state was corrupted from

@@ -16,7 +16,7 @@ import (
 type Fig16Row struct {
 	Workload string
 	HighLoad bool
-	// Gmean speedups vs Static across mixes.
+	// Median speedups vs Static across mixes.
 	Jumanji, Insecure, IdealBatch float64
 }
 
@@ -33,14 +33,13 @@ func Fig16(o Options) ([]Fig16Row, error) {
 			}
 			row := Fig16Row{Workload: lc, HighLoad: high}
 			for _, s := range sums {
-				g := gmeanOfBox(s.Speedup)
 				switch s.Design {
 				case "Jumanji":
-					row.Jumanji = g
+					row.Jumanji = s.Speedup.Median
 				case "Jumanji: Insecure":
-					row.Insecure = g
+					row.Insecure = s.Speedup.Median
 				case "Jumanji: Ideal Batch":
-					row.IdealBatch = g
+					row.IdealBatch = s.Speedup.Median
 				}
 			}
 			rows = append(rows, row)
@@ -48,11 +47,6 @@ func Fig16(o Options) ([]Fig16Row, error) {
 	}
 	return rows, nil
 }
-
-// gmeanOfBox approximates the gmean by the median of the distribution
-// summary (runMixes keeps the box; for gmean-grade precision the per-mix
-// samples would be carried instead, which Fig. 16 does not need).
-func gmeanOfBox(b stats.BoxPlot) float64 { return b.Median }
 
 // RenderFig16 prints the variant comparison.
 func RenderFig16(w io.Writer, rows []Fig16Row) {
@@ -71,7 +65,7 @@ func RenderFig16(w io.Writer, rows []Fig16Row) {
 type Fig17Row struct {
 	VMs     int
 	Label   string
-	Speedup float64 // gmean vs Static across mixes
+	Speedup float64 // median vs Static across mixes
 }
 
 // Fig17 reproduces the VM-scaling study: the same 20 applications split

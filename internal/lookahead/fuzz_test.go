@@ -189,9 +189,10 @@ func requireBits(t *testing.T, got, want []float64, label string) {
 	}
 }
 
-// allocateReference is AllocateInto as it was before the CanGrow
-// short-circuit: FuzzAllocateMinima's reference for inputs on which
-// lookahead can grant.
+// allocateReference is AllocateInto without the CanGrow short-circuit:
+// FuzzAllocateMinima's reference for inputs on which lookahead can grant.
+// It makes the allocator's input checks, so that the two panic alike,
+// including the refusal of a NaN total or Min.
 func allocateReference(dst []float64, total float64, reqs []Request) []float64 {
 	if len(reqs) == 0 {
 		return dst
@@ -211,7 +212,7 @@ func allocateReference(dst []float64, total float64, reqs []Request) []float64 {
 	sizes := dst[base:]
 	remaining := total
 	for i, r := range reqs {
-		if r.Min < 0 {
+		if !(r.Min >= 0) {
 			panic(fmt.Sprintf("lookahead: negative Min for request %d", i))
 		}
 		if r.Max > 0 && r.Min > r.Max {
@@ -220,7 +221,7 @@ func allocateReference(dst []float64, total float64, reqs []Request) []float64 {
 		sizes[i] = r.Min
 		remaining -= r.Min
 	}
-	if remaining < -1e-6 {
+	if !(remaining >= -1e-6) {
 		panic(fmt.Sprintf("lookahead: minimum allocations (%g) exceed total (%g)",
 			total-remaining, total))
 	}
@@ -341,7 +342,6 @@ func TestCanGrow(t *testing.T) {
 		{"one of two steps fits", 2, []Request{{Curve: c, Min: 0.5, Step: 2}, {Curve: c, Min: 0.5, Step: 1}}, true},
 		{"neither step fits", 1.5, []Request{{Curve: c, Min: 0.5, Step: 2}, {Curve: c, Min: 0.5, Step: 1}}, false},
 		{"a NaN step falls back to the unit", 2, []Request{{Curve: c, Min: 1, Step: math.NaN()}}, true},
-		{"a NaN total may grant", math.NaN(), []Request{{Curve: c, Min: 1, Step: 1}}, true},
 	}
 	for _, tc := range cases {
 		if got := CanGrow(tc.total, tc.reqs); got != tc.want {
@@ -360,4 +360,27 @@ func TestCanGrow(t *testing.T) {
 	// With no step fitting, Allocate reads no curve: zero-value curves with
 	// their steps set return the minima.
 	requireBits(t, Allocate(1.5, []Request{{Min: 0.5, Step: 2}, {Min: 0.5, Step: 1}}), []float64{0.5, 0.5}, "zero-value curves")
+	// A NaN total or Min leaves NaN after the minima, which CanGrow counts
+	// as fitting; Allocate refuses it before either grant loop, so convex
+	// (c) and non-convex curves fare alike.
+	bumpy := mrc.New(1, []float64{4, 4, 0, 0, 0})
+	for _, curve := range []mrc.Curve{c, bumpy} {
+		for _, tc := range []struct {
+			name     string
+			total    float64
+			min      float64
+			panicked string
+		}{
+			{"a NaN total", math.NaN(), 1, "lookahead: minimum allocations (NaN) exceed total (NaN)"},
+			{"a NaN Min", 4, math.NaN(), "lookahead: negative Min for request 0"},
+		} {
+			reqs := []Request{{Curve: curve, Min: tc.min, Step: 1}}
+			if !CanGrow(tc.total, reqs) {
+				t.Errorf("%s: CanGrow = false, want true", tc.name)
+			}
+			if got, p := tryAllocate(AllocateInto, tc.total, reqs); p != tc.panicked {
+				t.Errorf("%s: Allocate = %v, panic %q; want panic %q", tc.name, got, p, tc.panicked)
+			}
+		}
+	}
 }

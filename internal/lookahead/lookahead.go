@@ -44,7 +44,7 @@ type Request struct {
 // that cannot be used (all requests at Max, or no positive utility and all
 // steps exhausted) is left unallocated. Allocate panics if the mandatory
 // minimum allocations alone exceed total, since callers size minima from the
-// same budget.
+// same budget, and on a NaN total or Min.
 func Allocate(total float64, reqs []Request) []float64 {
 	return AllocateInto(nil, total, reqs)
 }
@@ -71,7 +71,7 @@ func AllocateInto(dst []float64, total float64, reqs []Request) []float64 {
 	sizes := dst[base:]
 	remaining := total
 	for i, r := range reqs {
-		if r.Min < 0 {
+		if !(r.Min >= 0) {
 			panic(fmt.Sprintf("lookahead: negative Min for request %d", i))
 		}
 		if r.Max > 0 && r.Min > r.Max {
@@ -80,7 +80,7 @@ func AllocateInto(dst []float64, total float64, reqs []Request) []float64 {
 		sizes[i] = r.Min
 		remaining -= r.Min
 	}
-	if remaining < -1e-6 {
+	if !(remaining >= -1e-6) {
 		panic(fmt.Sprintf("lookahead: minimum allocations (%g) exceed total (%g)",
 			total-remaining, total))
 	}
@@ -187,10 +187,11 @@ func AllocateInto(dst []float64, total float64, reqs []Request) []float64 {
 // CanGrow reports whether Allocate(total, reqs) may grant anything beyond
 // the minima: whether some request's step fits in what the minima leave of
 // total, within the 1e-9 tolerance both of Allocate's grant loops apply. A
-// NaN left over counts as fitting, as it does in the convex loop. When
-// CanGrow is false Allocate returns the minima without reading any curve,
-// so a caller whose curves are costly to build can skip them. A request's
-// step is its Step, or its curve's Unit when Step is not positive.
+// NaN left over (a NaN total or Min) counts as fitting, and Allocate panics
+// on it before either loop runs. When CanGrow is false Allocate returns the
+// minima without reading any curve, so a caller whose curves are costly to
+// build can skip them. A request's step is its Step, or its curve's Unit
+// when Step is not positive.
 func CanGrow(total float64, reqs []Request) bool {
 	remaining := total
 	for _, r := range reqs {

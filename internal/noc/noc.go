@@ -117,12 +117,6 @@ func New(eng *sim.Engine, mesh topo.Mesh, cfg Config) *Network {
 	return n
 }
 
-// Config returns the network's timing configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// Mesh returns the underlying topology.
-func (n *Network) Mesh() topo.Mesh { return n.mesh }
-
 // Send injects a message of payloadBytes from tile `from` to tile `to`.
 // done (may be nil) is invoked on delivery with the total network latency.
 // A message to the local tile is delivered immediately with zero latency.

@@ -127,8 +127,8 @@ func (g *Gauge) Value() float64 {
 }
 
 // Histogram counts observations into nbins equal-width bins over [lo, hi].
-// Out-of-range observations clamp into the first or last bin (the same
-// convention as stats.Histogram), so Count always equals the bin sum.
+// Out-of-range observations clamp into the first or last bin, so Count
+// always equals the bin sum.
 type Histogram struct {
 	name   string
 	lo, hi float64
@@ -317,11 +317,6 @@ type MetricSnapshot struct {
 	Lo    float64  // histogram lower bound
 	Hi    float64  // histogram upper bound
 	Bins  []uint64 // histogram bin counts
-	// Help and Labels are optional exposition metadata consumed by the
-	// prom writer (HELP line; {k="v"} label pairs on every sample). The
-	// Registry leaves them empty; synthetic snapshot producers set them.
-	Help   string
-	Labels map[string]string
 }
 
 // Snapshot returns every metric's current state, sorted by name.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -106,7 +105,7 @@ func Main(name string, args []string, flags Flags) int {
 	}
 
 	for ; cur < len(specs) && !ended; cur++ {
-		out, err := runners[cur].Run(context.Background(), &specs[cur], env)
+		out, err := runners[cur].Run(&specs[cur], env)
 		var rerr *sweep.RunError
 		var done *sweep.OnlyDone
 		switch {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -45,7 +44,7 @@ type Runner struct {
 	Name        string
 	Description string
 	Validate    func(sp *Spec) error
-	Run         func(ctx context.Context, sp *Spec, env Env) ([]byte, error)
+	Run         func(sp *Spec, env Env) ([]byte, error)
 	Repro       func(sp *Spec, label string, cell int) string
 }
 
@@ -180,14 +179,12 @@ func compareRunner() *Runner {
 			_, err := compareWorkload(sp)(compareOptions(sp, Env{}))
 			return err
 		},
-		Run: func(ctx context.Context, sp *Spec, env Env) ([]byte, error) {
+		Run: func(sp *Spec, env Env) ([]byte, error) {
 			designs, err := compareDesigns(sp)
 			if err != nil {
 				return nil, err
 			}
-			opts := compareOptions(sp, env)
-			opts.Ctx = ctx
-			results, err := jumanji.Compare(opts, compareWorkload(sp), designs...)
+			results, err := jumanji.Compare(compareOptions(sp, env), compareWorkload(sp), designs...)
 			if err != nil {
 				return nil, err
 			}
@@ -343,7 +340,7 @@ func harnessRunner(kind string) *Runner {
 			}
 			return harnessOptions(sp, Env{}).Validate()
 		},
-		Run: func(_ context.Context, sp *Spec, env Env) ([]byte, error) {
+		Run: func(sp *Spec, env Env) ([]byte, error) {
 			render := harness.Render
 			switch {
 			case table:

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"io"
 	"reflect"
 	"strings"
@@ -196,10 +195,42 @@ func TestRegistryRegister(t *testing.T) {
 		}
 	}
 	if err := reg.Register(&Runner{Name: "compare", Validate: func(*Spec) error { return nil },
-		Run: func(context.Context, *Spec, Env) ([]byte, error) { return nil, nil }}); err == nil {
+		Run: func(*Spec, Env) ([]byte, error) { return nil, nil }}); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	if err := reg.Register(&Runner{}); err == nil {
 		t.Fatal("empty runner accepted")
 	}
+}
+
+// FuzzSpecAdmission feeds the daemon's admission path arbitrary submission
+// bodies, an outside input: decodeSpec then Builtins().Normalize must never
+// panic, and a spec they accept must normalize again to the same
+// fingerprint, since the fingerprint keys dedupe and journal resume.
+func FuzzSpecAdmission(f *testing.F) {
+	for _, body := range []string{
+		`{"type":"compare","design":"jumanji","epochs":8,"warmup":2,"seed":3}`, // CI's serve smoke
+		`{"type":"figure","fig":13}`,
+		`{"type":"table","table":2}`,
+		`{"type":"compare","design":"all","lc":"datacenter","mesh":"16x16","shard":"4x4"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	reg := Builtins()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sp, err := decodeSpec(body)
+		if err != nil {
+			return
+		}
+		if _, err := reg.Normalize(&sp); err != nil {
+			return
+		}
+		again := sp
+		if _, err := reg.Normalize(&again); err != nil {
+			t.Fatalf("normalized spec %s is refused on a second pass: %v", sp.Fingerprint(), err)
+		}
+		if got, want := again.Fingerprint(), sp.Fingerprint(); got != want {
+			t.Fatalf("normalizing twice moved the fingerprint:\n once:  %s\n twice: %s", want, got)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -159,7 +158,7 @@ func (s *Server) runOnce(rn *Runner, e *Experiment, attempt int) (out []byte, re
 			panic(fmt.Sprintf("chaos: injected panic in serve worker (%s attempt %d)", e.ID, attempt+1))
 		}
 		// Serial cells: deterministic journal record order.
-		out, err = rn.Run(context.Background(), e.Spec, Env{
+		out, err = rn.Run(e.Spec, Env{
 			Engine: eng, Chaos: s.cfg.Chaos, Parallel: 1, Sinks: obs.Sinks{Progress: e.progress},
 		})
 	}()

@@ -5,21 +5,10 @@
 // internal/system instead, which needs no event queue.
 package sim
 
-import (
-	"context"
-	"fmt"
-
-	"jumanji/internal/obs"
-)
+import "jumanji/internal/obs"
 
 // Time is simulation time in cycles.
 type Time uint64
-
-// cancelCheckEvery is how many dispatched events pass between context polls
-// in Run/RunAll: frequent enough that a hard deadline cancels a detailed
-// simulation within microseconds, rare enough that the per-event hot path
-// stays a counter decrement.
-const cancelCheckEvery = 4096
 
 // Event is a callback scheduled to run at a point in simulated time.
 type Event func()
@@ -87,36 +76,6 @@ type Engine struct {
 	nextID uint64
 	queue  eventQueue
 	spans  *obs.Spans
-	ctx    context.Context
-}
-
-// CancelError is the panic payload when a drain loop observes the engine's
-// context done: the simulated time reached and the cancellation cause.
-type CancelError struct {
-	Now   Time
-	Cause error
-}
-
-func (e *CancelError) Error() string {
-	return fmt.Sprintf("sim: run canceled at cycle %d: %v", e.Now, e.Cause)
-}
-
-func (e *CancelError) Unwrap() error { return e.Cause }
-
-// SetContext attaches a cancellation context: Run and RunAll poll it every
-// few thousand events and panic with a *CancelError once it is done. This is
-// how the harness's hard per-cell deadline unwinds a wedged detailed
-// simulation. A nil ctx (the default) is never polled.
-func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// pollCancel panics if the engine's context is done.
-func (e *Engine) pollCancel() {
-	if e.ctx == nil {
-		return
-	}
-	if err := e.ctx.Err(); err != nil {
-		panic(&CancelError{Now: e.now, Cause: err})
-	}
 }
 
 // Now returns the current simulation time.
@@ -168,9 +127,6 @@ func (e *Engine) Run(until Time) int {
 	}
 	executed := 0
 	for len(e.queue) > 0 && e.queue[0].at <= until {
-		if e.ctx != nil && executed%cancelCheckEvery == 0 {
-			e.pollCancel()
-		}
 		e.Step()
 		executed++
 	}
@@ -191,13 +147,7 @@ func (e *Engine) RunAll() int {
 		sp = e.spans.Start("sim.run")
 	}
 	executed := 0
-	for {
-		if e.ctx != nil && executed%cancelCheckEvery == 0 {
-			e.pollCancel()
-		}
-		if !e.Step() {
-			break
-		}
+	for e.Step() {
 		executed++
 	}
 	sp.Stop()

@@ -20,7 +20,9 @@ func TestScheduleOrdering(t *testing.T) {
 	e.Schedule(10, func() { order = append(order, 2) })
 	e.Schedule(5, func() { order = append(order, 1) })
 	e.Schedule(20, func() { order = append(order, 3) })
-	e.RunAll()
+	if n := e.RunAll(); n != 3 {
+		t.Errorf("RunAll = %d, want 3", n)
+	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("events out of order: %v", order)
 	}

@@ -240,28 +240,3 @@ func Summarize(xs []float64) BoxPlot {
 func (b BoxPlot) String() string {
 	return fmt.Sprintf("%.3g/%.3g/%.3g/%.3g/%.3g (n=%d)", b.Min, b.Q1, b.Median, b.Q3, b.Max, b.N)
 }
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi].
-// Values outside the range are clamped into the first or last bin.
-// It is used by the attack demos to render latency densities (Fig. 11).
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		panic("stats: Histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: Histogram range must have hi > lo")
-	}
-	bins := make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		bins[i]++
-	}
-	return bins
-}

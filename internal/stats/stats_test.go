@@ -172,57 +172,6 @@ func TestSummarizeOrdering(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	bins := Histogram([]float64{0.1, 0.2, 0.9, -5, 99}, 0, 1, 2)
-	if bins[0] != 3 { // 0.1, 0.2, and clamped -5
-		t.Errorf("bins[0] = %d, want 3", bins[0])
-	}
-	if bins[1] != 2 { // 0.9 and clamped 99
-		t.Errorf("bins[1] = %d, want 2", bins[1])
-	}
-	assertPanics(t, "zero bins", func() { Histogram(nil, 0, 1, 0) })
-	assertPanics(t, "bad range", func() { Histogram(nil, 1, 1, 4) })
-}
-
-func TestHistogramBoundaryClamping(t *testing.T) {
-	// x == hi lands exactly on the open end of the range; it must clamp
-	// into the last bin, not index one past it.
-	bins := Histogram([]float64{1.0}, 0, 1, 4)
-	if bins[3] != 1 {
-		t.Errorf("x == hi: bins = %v, want last bin to hold it", bins)
-	}
-	// x < lo clamps into the first bin (negative index otherwise).
-	bins = Histogram([]float64{-0.001, -1e9}, 0, 1, 4)
-	if bins[0] != 2 {
-		t.Errorf("x < lo: bins = %v, want first bin to hold both", bins)
-	}
-	// x > hi clamps into the last bin.
-	bins = Histogram([]float64{1.001, 1e9}, 0, 1, 4)
-	if bins[3] != 2 {
-		t.Errorf("x > hi: bins = %v, want last bin to hold both", bins)
-	}
-	// lo itself belongs to the first bin without clamping.
-	bins = Histogram([]float64{0}, 0, 1, 4)
-	if bins[0] != 1 {
-		t.Errorf("x == lo: bins = %v, want first bin", bins)
-	}
-}
-
-func TestHistogramConservesCount(t *testing.T) {
-	f := func(raw []float64, nb uint8) bool {
-		nbins := int(nb%16) + 1
-		bins := Histogram(raw, -10, 10, nbins)
-		total := 0
-		for _, c := range bins {
-			total += c
-		}
-		return total == len(raw)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Min(xs) != -1 {

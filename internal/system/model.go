@@ -119,12 +119,6 @@ func (m *epochModel) reset(in *core.Input, pl, prev *core.Placement, apps []*app
 	m.computeDueling(apps)
 }
 
-func newEpochModel(cfg Config, in *core.Input, pl, prev *core.Placement, apps []*appState) *epochModel {
-	m := &epochModel{cfg: cfg}
-	m.reset(in, pl, prev, apps)
-	return m
-}
-
 // computeDueling elects a replacement policy per bank by access-weighted
 // vote and records, for each app, how much of its capacity sits in banks
 // where it loses. Set-dueling state is physically per bank, so overlay

@@ -138,7 +138,7 @@ func (o *runObserver) observeEpoch(epoch int, reconfigured bool, cause string, i
 	if reconfigured && (o.cfg.Events.Enabled() || o.cfg.Trace.Enabled() || o.cfg.Metrics != nil) {
 		decisions := o.cfg.Events.Enabled() || o.cfg.Trace.Enabled()
 		if decisions {
-			for _, id := range in.LatCritApps() {
+			for _, id := range in.AppendLatCritApps(nil) {
 				size := in.LatSizes[id]
 				last, seen := o.prevSizes[id]
 				if !seen {
@@ -209,7 +209,7 @@ func (o *runObserver) observeEpoch(epoch int, reconfigured bool, cause string, i
 		}
 		allocMB := make(map[string]float64, len(sample.AllocMB))
 		latNorm := make(map[string]float64, len(sample.LatNorm))
-		for _, id := range in.LatCritApps() {
+		for _, id := range in.AppendLatCritApps(nil) {
 			key := fmt.Sprintf("%d:%s", id, apps[id].name)
 			allocMB[key] = sample.AllocMB[int(id)]
 			if v := sample.LatNorm[int(id)]; !math.IsNaN(v) {

@@ -217,8 +217,8 @@ func TestBuildStatesMatchesPerAppReference(t *testing.T) {
 					where, gq.workKI, gq.lambda, gq.deadline, wq.workKI, wq.lambda, wq.deadline)
 			}
 			// The per-app queue keeps its own seed: the next epoch matches.
-			gl := gq.sim.RunEpoch(sc.cfg.EpochCycles(), 1e5)
-			wl := wq.sim.RunEpoch(sc.cfg.EpochCycles(), 1e5)
+			gl := gq.sim.RunEpochAppend(nil, sc.cfg.EpochCycles(), 1e5)
+			wl := wq.sim.RunEpochAppend(nil, sc.cfg.EpochCycles(), 1e5)
 			if len(gl) != len(wl) {
 				t.Fatalf("%s: queue sims diverge", where)
 			}

@@ -181,23 +181,16 @@ func (q *QueueSim) pushArrival(t float64) {
 	q.queue = append(q.queue, t)
 }
 
-// RunEpoch advances the simulation by `cycles`, serving requests with mean
-// service time meanServiceCycles (reflecting this epoch's CPI), and returns
+// RunEpochAppend advances the simulation by `cycles`, serving requests with
+// mean service time meanServiceCycles (reflecting this epoch's CPI), appends
 // the response latencies (queueing + service, in cycles) of requests that
-// completed during the epoch. The result is freshly allocated; epoch loops
-// that run every epoch should pass a reused scratch slice to RunEpochAppend
-// instead.
-func (q *QueueSim) RunEpoch(cycles, meanServiceCycles float64) []float64 {
-	return q.RunEpochAppend(nil, cycles, meanServiceCycles)
-}
-
-// RunEpochAppend is RunEpoch appending the completed requests' latencies to
-// dst (pass dst[:0] to reuse its backing across epochs) and returning the
-// extended slice. All internal buffers are reused across calls, so a warmed
-// simulator allocates nothing once dst has reached its high-water capacity.
+// completed during the epoch to dst (pass dst[:0] to reuse its backing across
+// epochs) and returns the extended slice. All internal buffers are reused
+// across calls, so a warmed simulator allocates nothing once dst has reached
+// its high-water capacity.
 func (q *QueueSim) RunEpochAppend(dst []float64, cycles, meanServiceCycles float64) []float64 {
 	if cycles <= 0 || meanServiceCycles <= 0 {
-		panic("tailbench: RunEpoch needs positive cycles and service time")
+		panic("tailbench: RunEpochAppend needs positive cycles and service time")
 	}
 	end := q.now + cycles
 	for {

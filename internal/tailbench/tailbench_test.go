@@ -77,7 +77,7 @@ func TestQueueSimStableLoad(t *testing.T) {
 	q.SetRate(0.5 / S)
 	var lat []float64
 	for epoch := 0; epoch < 200; epoch++ {
-		lat = append(lat, q.RunEpoch(100*S, S)...)
+		lat = q.RunEpochAppend(lat, 100*S, S)
 	}
 	if len(lat) < 5000 {
 		t.Fatalf("only %d completions", len(lat))
@@ -100,7 +100,7 @@ func TestQueueSimDeterministicService(t *testing.T) {
 	q.SetRate(0.01 / S) // very light load: essentially no queueing
 	var lat []float64
 	for epoch := 0; epoch < 100; epoch++ {
-		lat = append(lat, q.RunEpoch(1000*S, S)...)
+		lat = q.RunEpochAppend(lat, 1000*S, S)
 	}
 	if len(lat) == 0 {
 		t.Fatal("no completions")
@@ -123,7 +123,7 @@ func TestServiceCVControlsVariance(t *testing.T) {
 		q.SetRate(0.3 / S)
 		var lat []float64
 		for epoch := 0; epoch < 100; epoch++ {
-			lat = append(lat, q.RunEpoch(100*S, S)...)
+			lat = q.RunEpochAppend(lat, 100*S, S)
 		}
 		return stats.Percentile(lat, 99)
 	}
@@ -158,11 +158,11 @@ func TestQueueSimOverloadExplodes(t *testing.T) {
 	q := NewQueueSim(2)
 	S := 1000.0
 	q.SetRate(2.0 / S)
-	first := q.RunEpoch(100*S, S)
+	first := q.RunEpochAppend(nil, 100*S, S)
 	for i := 0; i < 20; i++ {
-		q.RunEpoch(100*S, S)
+		q.RunEpochAppend(nil, 100*S, S)
 	}
-	last := q.RunEpoch(100*S, S)
+	last := q.RunEpochAppend(nil, 100*S, S)
 	if len(first) == 0 || len(last) == 0 {
 		t.Fatal("no completions under overload")
 	}
@@ -181,7 +181,7 @@ func TestQueueSimRecoversAfterBoost(t *testing.T) {
 	S := 1000.0
 	q.SetRate(1.5 / S)
 	for i := 0; i < 10; i++ {
-		q.RunEpoch(100*S, S)
+		q.RunEpochAppend(nil, 100*S, S)
 	}
 	backlog := q.QueueLen()
 	if backlog == 0 {
@@ -190,7 +190,7 @@ func TestQueueSimRecoversAfterBoost(t *testing.T) {
 	// Boost: 4x faster service.
 	var lat []float64
 	for i := 0; i < 50; i++ {
-		lat = q.RunEpoch(100*S, S/4)
+		lat = q.RunEpochAppend(nil, 100*S, S/4)
 	}
 	if q.QueueLen() >= backlog {
 		t.Error("backlog did not drain after boost")
@@ -203,7 +203,7 @@ func TestQueueSimRecoversAfterBoost(t *testing.T) {
 func TestQueueSimZeroRate(t *testing.T) {
 	q := NewQueueSim(4)
 	q.SetRate(0)
-	if got := q.RunEpoch(1e6, 100); len(got) != 0 {
+	if got := q.RunEpochAppend(nil, 1e6, 100); len(got) != 0 {
 		t.Errorf("zero rate produced %d completions", len(got))
 	}
 }
@@ -214,7 +214,7 @@ func TestQueueSimDeterministic(t *testing.T) {
 		q.SetRate(0.3 / 1000)
 		total := 0.0
 		for i := 0; i < 50; i++ {
-			for _, l := range q.RunEpoch(1e5, 1000) {
+			for _, l := range q.RunEpochAppend(nil, 1e5, 1000) {
 				total += l
 			}
 		}
@@ -228,8 +228,8 @@ func TestQueueSimDeterministic(t *testing.T) {
 func TestQueueSimPanics(t *testing.T) {
 	q := NewQueueSim(5)
 	assertPanic(t, func() { q.SetRate(-1) })
-	assertPanic(t, func() { q.RunEpoch(0, 1) })
-	assertPanic(t, func() { q.RunEpoch(1, 0) })
+	assertPanic(t, func() { q.RunEpochAppend(nil, 0, 1) })
+	assertPanic(t, func() { q.RunEpochAppend(nil, 1, 0) })
 	assertPanic(t, func() { Profiles[0].WorkKI(0, 1) })
 	assertPanic(t, func() { Profiles[0].MissRatio(0, 1) })
 }
@@ -244,8 +244,9 @@ func assertPanic(t *testing.T, f func()) {
 	f()
 }
 
-// TestRunEpochAppendMatches pins RunEpochAppend to RunEpoch bitwise: the
-// ring-buffer queue must not perturb RNG draw order or latency values.
+// TestRunEpochAppendMatches pins RunEpochAppend into a reused slice to a
+// fresh one bitwise: the ring-buffer queue must not perturb RNG draw order or
+// latency values.
 func TestRunEpochAppendMatches(t *testing.T) {
 	mk := func() *QueueSim {
 		q := NewQueueSim(99)
@@ -255,7 +256,7 @@ func TestRunEpochAppendMatches(t *testing.T) {
 	a, b := mk(), mk()
 	var scratch []float64
 	for i := 0; i < 50; i++ {
-		want := a.RunEpoch(1e5, 1200)
+		want := a.RunEpochAppend(nil, 1e5, 1200)
 		scratch = b.RunEpochAppend(scratch[:0], 1e5, 1200)
 		if len(want) != len(scratch) {
 			t.Fatalf("epoch %d: %d latencies vs %d", i, len(scratch), len(want))

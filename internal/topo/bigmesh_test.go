@@ -39,7 +39,7 @@ func TestHopsMatchesBruteForceOnBigMeshes(t *testing.T) {
 				if m.Hops(ta, tb) != m.Hops(tb, ta) {
 					t.Fatalf("%dx%d: Hops(%d,%d) not symmetric", m.W, m.H, a, b)
 				}
-				if route := m.Route(ta, tb); len(route)-1 != want {
+				if route := m.RouteAppend(nil, ta, tb); len(route)-1 != want {
 					t.Fatalf("%dx%d: Route(%d,%d) has %d hops, want %d", m.W, m.H, a, b, len(route)-1, want)
 				}
 			}
@@ -85,12 +85,14 @@ func TestBanksByDistanceViewMatchesBruteForceOnBigMeshes(t *testing.T) {
 	}
 }
 
+// TestRouteAppendMatchesRoute checks that routing into a reused buffer
+// gives the same path as routing into a fresh one.
 func TestRouteAppendMatchesRoute(t *testing.T) {
 	var buf []TileID
 	for _, m := range bigMeshes() {
 		for a := 0; a < m.Tiles(); a += 3 {
 			for b := 0; b < m.Tiles(); b += 5 {
-				want := m.Route(TileID(a), TileID(b))
+				want := m.RouteAppend(nil, TileID(a), TileID(b))
 				buf = m.RouteAppend(buf[:0], TileID(a), TileID(b))
 				if len(buf) != len(want) {
 					t.Fatalf("%dx%d: RouteAppend(%d,%d) length %d, want %d", m.W, m.H, a, b, len(buf), len(want))

@@ -89,18 +89,12 @@ func (m Mesh) Hops(a, b TileID) int {
 	return abs(pa.X-pb.X) + abs(pa.Y-pb.Y)
 }
 
-// Route returns the sequence of tiles a flit visits travelling from a to b
-// under X-Y dimension-ordered routing, including both endpoints. The slice is
-// freshly allocated; per-message hot paths use RouteAppend with a recycled
-// buffer instead.
-func (m Mesh) Route(a, b TileID) []TileID {
-	return m.RouteAppend(make([]TileID, 0, m.Hops(a, b)+1), a, b)
-}
-
-// RouteAppend is Route under the Append protocol: the path is appended to dst
-// (pass dst[:0] to reuse its backing across messages) and the extended slice
-// is returned. Once dst has grown to the mesh's diameter it is never regrown,
-// so a warmed buffer makes routing allocation-free (TestAllocGuardRoute).
+// RouteAppend appends the sequence of tiles a flit visits travelling from a
+// to b under X-Y dimension-ordered routing, including both endpoints, to dst
+// (pass dst[:0] to reuse its backing across messages) and returns the
+// extended slice. Once dst has grown to the mesh's diameter it is never
+// regrown, so a warmed buffer makes routing allocation-free
+// (TestAllocGuardRoute).
 func (m Mesh) RouteAppend(dst []TileID, a, b TileID) []TileID {
 	pa, pb := m.Coord(a), m.Coord(b)
 	dst = append(dst, a)
@@ -116,26 +110,12 @@ func (m Mesh) RouteAppend(dst []TileID, a, b TileID) []TileID {
 	return dst
 }
 
-// BanksByDistance returns all tile IDs ordered by hop distance from tile
+// BanksByDistanceView returns all tile IDs ordered by hop distance from tile
 // `from`, closest first. Ties are broken by tile ID so the ordering is
-// deterministic; this is the sortBanksByDistance step of Listing 2.
-// The returned slice is freshly allocated and the caller may mutate it;
-// hot paths that only iterate should use BanksByDistanceView instead.
-func (m Mesh) BanksByDistance(from TileID) []TileID {
-	m.check(from)
-	banks := make([]TileID, m.Tiles())
-	if m.tab != nil {
-		copy(banks, m.tab.order[from])
-		return banks
-	}
-	m.sortBanksByDistance(banks, from, nil)
-	return banks
-}
-
-// BanksByDistanceView is BanksByDistance without the copy: meshes built by
-// NewMesh return a shared row of the memoized table, computed once at
-// construction. The caller must treat the slice as read-only — mutating it
-// corrupts every future caller's ordering. Zero-value meshes fall back to
+// deterministic; this is the sortBanksByDistance step of Listing 2. Meshes
+// built by NewMesh return a shared row of the memoized table, computed once
+// at construction. The caller must treat the slice as read-only — mutating
+// it corrupts every future caller's ordering. Zero-value meshes fall back to
 // allocating a fresh sorted slice.
 func (m Mesh) BanksByDistanceView(from TileID) []TileID {
 	m.check(from)
@@ -191,44 +171,6 @@ func (m Mesh) Corners() [4]TileID {
 		m.ID(Point{0, m.H - 1}),
 		m.ID(Point{m.W - 1, m.H - 1}),
 	}
-}
-
-// Quadrant returns which quadrant (0..3) a tile falls into, splitting the
-// mesh down the middle in both dimensions. The case-study workload clusters
-// each VM's threads in one quadrant (Fig. 2).
-func (m Mesh) Quadrant(id TileID) int {
-	p := m.Coord(id)
-	q := 0
-	if p.X >= (m.W+1)/2 {
-		q++
-	}
-	if p.Y >= (m.H+1)/2 {
-		q += 2
-	}
-	return q
-}
-
-// AvgHops returns the mean hop distance from tile `from` to the given banks,
-// weighted by the share weights (same length as banks). Weights must be
-// non-negative and sum to a positive value; AvgHops panics otherwise.
-// This is the quantity the epoch performance model uses for LLC hit latency.
-func (m Mesh) AvgHops(from TileID, banks []TileID, weights []float64) float64 {
-	if len(banks) != len(weights) {
-		panic("topo: AvgHops banks/weights length mismatch")
-	}
-	total, sum := 0.0, 0.0
-	for i, b := range banks {
-		w := weights[i]
-		if w < 0 {
-			panic("topo: AvgHops negative weight")
-		}
-		total += w * float64(m.Hops(from, b))
-		sum += w
-	}
-	if sum <= 0 {
-		panic("topo: AvgHops weights sum to zero")
-	}
-	return total / sum
 }
 
 func abs(x int) int {

@@ -57,7 +57,7 @@ func TestHopsPropertyMatchesRouteLength(t *testing.T) {
 	f := func(ar, br uint8) bool {
 		a := TileID(int(ar) % m.Tiles())
 		b := TileID(int(br) % m.Tiles())
-		route := m.Route(a, b)
+		route := m.RouteAppend(nil, a, b)
 		return len(route)-1 == m.Hops(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -67,7 +67,7 @@ func TestHopsPropertyMatchesRouteLength(t *testing.T) {
 
 func TestRouteEndpointsAndAdjacency(t *testing.T) {
 	m := NewMesh(5, 4)
-	route := m.Route(0, 19)
+	route := m.RouteAppend(nil, 0, 19)
 	if route[0] != 0 || route[len(route)-1] != 19 {
 		t.Fatalf("Route endpoints wrong: %v", route)
 	}
@@ -84,7 +84,7 @@ func TestRouteEndpointsAndAdjacency(t *testing.T) {
 
 func TestBanksByDistance(t *testing.T) {
 	m := NewMesh(5, 4)
-	banks := m.BanksByDistance(0)
+	banks := m.BanksByDistanceView(0)
 	if len(banks) != 20 {
 		t.Fatalf("BanksByDistance returned %d banks", len(banks))
 	}
@@ -111,7 +111,7 @@ func TestBanksByDistancePermutationProperty(t *testing.T) {
 	m := NewMesh(5, 4)
 	f := func(fr uint8) bool {
 		from := TileID(int(fr) % m.Tiles())
-		banks := m.BanksByDistance(from)
+		banks := m.BanksByDistanceView(from)
 		if len(banks) != m.Tiles() {
 			return false
 		}
@@ -144,73 +144,20 @@ func TestCorners(t *testing.T) {
 	}
 }
 
-func TestQuadrant(t *testing.T) {
-	m := NewMesh(4, 4)
-	tests := []struct {
-		id   TileID
-		want int
-	}{
-		{0, 0},  // (0,0)
-		{3, 1},  // (3,0)
-		{12, 2}, // (0,3)
-		{15, 3}, // (3,3)
-	}
-	for _, tt := range tests {
-		if got := m.Quadrant(tt.id); got != tt.want {
-			t.Errorf("Quadrant(%d) = %d, want %d", tt.id, got, tt.want)
-		}
-	}
-}
-
-func TestAvgHops(t *testing.T) {
-	m := NewMesh(5, 4)
-	// Equal weights over tiles 0 (0 hops) and 2 (2 hops) = 1 hop average.
-	got := m.AvgHops(0, []TileID{0, 2}, []float64{1, 1})
-	if got != 1 {
-		t.Errorf("AvgHops = %v, want 1", got)
-	}
-	// Weighted toward the far bank.
-	got = m.AvgHops(0, []TileID{0, 2}, []float64{1, 3})
-	if got != 1.5 {
-		t.Errorf("AvgHops weighted = %v, want 1.5", got)
-	}
-}
-
-func TestAvgHopsPanics(t *testing.T) {
-	m := NewMesh(2, 2)
-	cases := []func(){
-		func() { m.AvgHops(0, []TileID{0}, []float64{1, 2}) },
-		func() { m.AvgHops(0, []TileID{0}, []float64{-1}) },
-		func() { m.AvgHops(0, []TileID{0}, []float64{0}) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // TestBanksByDistanceViewMatches pins the memoized view to the sorting path:
-// same permutation from every source tile, and the copying BanksByDistance
-// must return the table rows verbatim.
+// same permutation from every source tile.
 func TestBanksByDistanceViewMatches(t *testing.T) {
 	m := NewMesh(5, 4)
 	for from := 0; from < m.Tiles(); from++ {
 		view := m.BanksByDistanceView(TileID(from))
-		copied := m.BanksByDistance(TileID(from))
 		// Reference: re-sort from scratch on a table-less mesh.
-		ref := (&Mesh{W: 5, H: 4}).BanksByDistance(TileID(from))
+		ref := (&Mesh{W: 5, H: 4}).BanksByDistanceView(TileID(from))
 		if len(view) != len(ref) {
 			t.Fatalf("from %d: view has %d banks, want %d", from, len(view), len(ref))
 		}
 		for i := range ref {
-			if view[i] != ref[i] || copied[i] != ref[i] {
-				t.Fatalf("from %d index %d: view %d copy %d, want %d", from, i, view[i], copied[i], ref[i])
+			if view[i] != ref[i] {
+				t.Fatalf("from %d index %d: view %d, want %d", from, i, view[i], ref[i])
 			}
 		}
 	}
@@ -258,7 +205,7 @@ func BenchmarkBanksByDistance(b *testing.B) {
 		un := &Mesh{W: 8, H: 8} // table-less: sorts every call
 		var sink TileID
 		for i := 0; i < b.N; i++ {
-			row := un.BanksByDistance(TileID(i % un.Tiles()))
+			row := un.BanksByDistanceView(TileID(i % un.Tiles()))
 			sink = row[0]
 		}
 		_ = sink

@@ -123,47 +123,6 @@ func (p *PointerChase) Next() uint64 {
 	return addr
 }
 
-// Mix interleaves several generators with given weights — e.g. a hot
-// working set plus a background scan, the structure behind cliff-shaped
-// miss curves.
-type Mix struct {
-	gens    []Generator
-	cumulat []float64
-	rng     *rand.Rand
-}
-
-// NewMix combines generators; weights must be positive and match gens.
-func NewMix(seed int64, gens []Generator, weights []float64) *Mix {
-	if len(gens) == 0 || len(gens) != len(weights) {
-		panic("trace: Mix needs matching generators and weights")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w <= 0 {
-			panic("trace: non-positive mix weight")
-		}
-		total += w
-	}
-	cum := make([]float64, len(weights))
-	run := 0.0
-	for i, w := range weights {
-		run += w / total
-		cum[i] = run
-	}
-	return &Mix{gens: gens, cumulat: cum, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next implements Generator.
-func (m *Mix) Next() uint64 {
-	x := m.rng.Float64()
-	for i, c := range m.cumulat {
-		if x <= c {
-			return m.gens[i].Next()
-		}
-	}
-	return m.gens[len(m.gens)-1].Next()
-}
-
 // MissRatioOracle returns the asymptotic miss ratio a fully-associative LRU
 // cache of capBytes would see on the given canonical generator, for
 // validation tests. It covers the generators with closed-form behaviour.

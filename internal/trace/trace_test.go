@@ -75,26 +75,6 @@ func TestPointerChaseIsSingleCycle(t *testing.T) {
 	}
 }
 
-func TestMixProportions(t *testing.T) {
-	a := NewSequential(0, 64, 64)        // always 0x0
-	b := NewSequential(0x100000, 64, 64) // always 0x100000
-	m := NewMix(5, []Generator{a, b}, []float64{3, 1})
-	counts := [2]int{}
-	for i := 0; i < 40000; i++ {
-		if m.Next() < 0x100000 {
-			counts[0]++
-		} else {
-			counts[1]++
-		}
-	}
-	ratio := float64(counts[0]) / float64(counts[0]+counts[1])
-	if ratio < 0.72 || ratio > 0.78 {
-		t.Errorf("mix ratio %.3f, want ~0.75", ratio)
-	}
-	assertPanics(t, func() { NewMix(1, []Generator{a}, []float64{1, 2}) })
-	assertPanics(t, func() { NewMix(1, []Generator{a}, []float64{0}) })
-}
-
 func TestOracle(t *testing.T) {
 	seq := NewSequential(0, 1<<20, 64)
 	if r, ok := MissRatioOracle(seq, 2<<20); !ok || r != 0 {
@@ -107,29 +87,16 @@ func TestOracle(t *testing.T) {
 	if r, ok := MissRatioOracle(ws, 32*1024); !ok || r != 0.5 {
 		t.Errorf("half-capacity working set: %v %v", r, ok)
 	}
-	mix := NewMix(1, []Generator{seq}, []float64{1})
-	if _, ok := MissRatioOracle(mix, 1); ok {
-		t.Error("oracle should not cover Mix")
-	}
 }
 
-// TestOracleDeclinesStochasticGenerators pins the oracle's honesty: Mix and
-// Zipf have no closed-form LRU miss ratio, so it must return ok=false for
-// them at any capacity rather than a plausible-looking number.
+// TestOracleDeclinesStochasticGenerators pins the oracle's honesty: Zipf has
+// no closed-form LRU miss ratio, so it must return ok=false for it at any
+// capacity rather than a plausible-looking number.
 func TestOracleDeclinesStochasticGenerators(t *testing.T) {
 	zipf := NewZipf(0, 4096, 64, 1.4, 1)
 	for _, capBytes := range []uint64{1, 64 << 10, 1 << 30} {
 		if _, ok := MissRatioOracle(zipf, capBytes); ok {
 			t.Errorf("oracle claimed to cover Zipf at capacity %d", capBytes)
-		}
-	}
-	mix := NewMix(1, []Generator{
-		NewSequential(0, 1<<20, 64),
-		NewWorkingSet(1<<32, 1024, 64, 1),
-	}, []float64{1, 2})
-	for _, capBytes := range []uint64{1, 64 << 10, 1 << 30} {
-		if _, ok := MissRatioOracle(mix, capBytes); ok {
-			t.Errorf("oracle claimed to cover Mix at capacity %d", capBytes)
 		}
 	}
 }

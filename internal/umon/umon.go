@@ -132,18 +132,6 @@ func (m *Monitor) MissRatioCurve() mrc.Curve {
 	return mrc.New(unit, points)
 }
 
-// Reset clears the histogram and counters but keeps the sampled stack so
-// profiling across epochs stays warm (full clearing would lose the
-// resident working set).
-func (m *Monitor) Reset() {
-	for i := range m.hits {
-		m.hits[i] = 0
-	}
-	m.colds = 0
-	m.Accesses = 0
-	m.Sampled = 0
-}
-
 // Age halves every counter, as hardware UMONs do periodically [69]: old
 // behaviour decays exponentially instead of dominating the profile forever,
 // so phase changes show up in the curve within a few aging periods.

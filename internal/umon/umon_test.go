@@ -108,25 +108,6 @@ func TestSamplingDeterministicPerAddress(t *testing.T) {
 	}
 }
 
-func TestResetKeepsStackClearsCounts(t *testing.T) {
-	m := New(4, 8, 64, 1)
-	for i := uint64(0); i < 16; i++ {
-		m.Access(i * 64)
-	}
-	m.Reset()
-	if m.Accesses != 0 || m.Sampled != 0 {
-		t.Error("Reset did not clear counters")
-	}
-	// Re-access: should hit in the retained stack, not count cold.
-	m.Access(0)
-	if m.colds != 0 {
-		t.Error("Reset dropped the warm stack")
-	}
-	if m.hits[0]+m.hits[1]+m.hits[2]+m.hits[3] == 0 {
-		t.Error("re-access after Reset recorded no hit")
-	}
-}
-
 func TestRepeatedSingleLineAllHits(t *testing.T) {
 	m := New(1, 4, 64, 1)
 	for i := 0; i < 100; i++ {

@@ -208,11 +208,6 @@ func (v *VTB) SetDefaultVC(vc VCID) {
 	v.hasDefault = true
 }
 
-// MapPage assigns the page containing addr to vc.
-func (v *VTB) MapPage(addr uint64, vc VCID) {
-	v.pages[addr/PageSize] = vc
-}
-
 // MapRange assigns every page overlapping [base, base+size) to vc — the
 // OS mapping an application's whole address space to its virtual cache.
 func (v *VTB) MapRange(base, size uint64, vc VCID) {

@@ -168,7 +168,7 @@ func TestVTBLookupFlow(t *testing.T) {
 	if _, _, ok := v.Lookup(0x1000); ok {
 		t.Error("lookup on empty VTB should miss")
 	}
-	v.MapPage(0x1000, 7)
+	v.MapRange(0x1000, 1, 7)
 	if _, _, ok := v.Lookup(0x1000); ok {
 		t.Error("lookup without descriptor should miss")
 	}
@@ -194,7 +194,7 @@ func TestVTBDefaultVC(t *testing.T) {
 
 func TestVTBPageGranularity(t *testing.T) {
 	v := New()
-	v.MapPage(0, 1)
+	v.MapRange(0, 1, 1)
 	v.Install(1, SingleBank(0))
 	v.SetDefaultVC(2)
 	v.Install(2, SingleBank(5))

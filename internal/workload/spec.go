@@ -112,15 +112,6 @@ func (p Profile) missRatioAt(s float64) float64 {
 	panic(fmt.Sprintf("workload: unknown shape %d", p.Shape))
 }
 
-// IPCAlone returns the profile's IPC when running alone with the whole LLC
-// of the given size at the given LLC hit and memory latencies (cycles) —
-// the FIESTA-style normalization baseline.
-func (p Profile) IPCAlone(llcBytes, hitLat, memLat float64) float64 {
-	miss := p.missRatioAt(llcBytes)
-	cpi := p.BaseCPI + p.APKI/1000*(hitLat+miss*memLat)
-	return 1 / cpi
-}
-
 // RandomMix draws n profiles uniformly with replacement — the paper's
 // "random mix of sixteen SPEC applications".
 func RandomMix(rng *rand.Rand, n int) []Profile {

@@ -82,17 +82,6 @@ func TestCliffShape(t *testing.T) {
 	}
 }
 
-func TestIPCAloneOrdering(t *testing.T) {
-	// More cache or lower latency never hurts.
-	for _, p := range Profiles {
-		slow := p.IPCAlone(1<<20, 30, 120)
-		fast := p.IPCAlone(16<<20, 15, 120)
-		if fast < slow-1e-12 {
-			t.Errorf("%s: IPC decreased with better cache: %v -> %v", p.Name, slow, fast)
-		}
-	}
-}
-
 func TestRandomMixDeterministic(t *testing.T) {
 	a := RandomMix(rand.New(rand.NewSource(42)), 16)
 	b := RandomMix(rand.New(rand.NewSource(42)), 16)

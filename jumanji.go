@@ -205,8 +205,7 @@ type Options struct {
 	// MRC validity, placement capacity, finite CPI, controller bounds, and
 	// reconfiguration liveness, each panicking a *system.InvariantError.
 	CheckInvariants bool
-	// Ctx, when non-nil, cancels in-flight runs (polled once per epoch and
-	// every few thousand detailed-simulator events).
+	// Ctx, when non-nil, cancels in-flight runs (polled once per epoch).
 	Ctx context.Context
 }
 
