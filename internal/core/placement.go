@@ -302,21 +302,36 @@ func (p *Placement) AppendAppsInBank(dst []AppID, b topo.TileID) []AppID {
 }
 
 // AvgHops returns the capacity-weighted mean one-way hop distance from
-// app's core to its allocated banks, or 0 for an empty allocation.
+// app's core to its allocated banks, or 0 for an empty allocation. It
+// panics if core is outside the mesh. The row is walked with running bank
+// coordinates, which gives each bank Mesh.Hops's distance without a
+// division per bank; the sums accumulate in bank order.
 func (p *Placement) AvgHops(app AppID, core topo.TileID) float64 {
 	row := p.row(app)
 	mesh := p.Machine.Mesh
+	c := mesh.Coord(core)
 	total, sum := 0.0, 0.0
-	for b, w := range row {
+	x, y := 0, 0
+	for _, w := range row {
 		if w > 0 {
-			total += w * float64(mesh.Hops(core, topo.TileID(b)))
+			total += w * float64(absInt(x-c.X)+absInt(y-c.Y))
 			sum += w
+		}
+		if x++; x == mesh.W {
+			x, y = 0, y+1
 		}
 	}
 	if sum <= 0 {
 		return 0
 	}
 	return total / sum
+}
+
+func absInt(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // Descriptor builds the VC placement descriptor realizing app's allocation

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -404,5 +405,50 @@ func TestPlacementDenseMatchesReference(t *testing.T) {
 			mutatePair(rng, in, dense, ref)
 		}
 		comparePair(t, in, dense, densePrev, ref, refPrev)
+	}
+}
+
+// avgHopsReference is AvgHops as one Mesh.Hops call per bank.
+func avgHopsReference(p *Placement, app AppID, c topo.TileID) float64 {
+	total, sum := 0.0, 0.0
+	for b, w := range p.AllocRow(app) {
+		if w > 0 {
+			total += w * float64(p.Machine.Mesh.Hops(c, topo.TileID(b)))
+			sum += w
+		}
+	}
+	if sum <= 0 {
+		return 0
+	}
+	return total / sum
+}
+
+// TestAvgHopsMatchesMeshHops pins AvgHops's running-coordinate walk to the
+// Mesh.Hops form bitwise, from every core, on random rows (zeros, magnitudes
+// spread over many binades), an all-zero row and an unmaterialized app, on
+// 1×N, N×1, 5×4 and 16×16 meshes.
+func TestAvgHopsMatchesMeshHops(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range [][2]int{{1, 9}, {9, 1}, {5, 4}, {16, 16}} {
+		m := DefaultMachine()
+		m.Mesh = topo.NewMesh(d[0], d[1])
+		p := NewPlacement(m)
+		const rows = 6
+		for app := 1; app < rows; app++ { // app 0 stays all-zero
+			for b := 0; b < m.Banks(); b++ {
+				if rng.Intn(3) > 0 {
+					p.Add(AppID(app), topo.TileID(b), rng.Float64()*math.Ldexp(1, rng.Intn(60)-20))
+				}
+			}
+		}
+		for app := 0; app <= rows; app++ { // app rows is unmaterialized
+			for c := 0; c < m.Banks(); c++ {
+				got := p.AvgHops(AppID(app), topo.TileID(c))
+				want := avgHopsReference(p, AppID(app), topo.TileID(c))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%dx%d app %d core %d: AvgHops %v, Mesh.Hops form %v", d[0], d[1], app, c, got, want)
+				}
+			}
+		}
 	}
 }

@@ -53,3 +53,27 @@ func BenchmarkEpochLoopFleet(b *testing.B) {
 	}
 	b.ReportMetric(epochs, "epochs/op")
 }
+
+// BenchmarkCellSetup measures one 16×16 Fig. 19 cell's run set-up: the
+// buildStates calls of its five design runs, on a DatacenterWorkload
+// generated afresh (outside the timer) every iteration, as a figure sweep
+// generates each cell's workload. The curve memo outlives iterations, as it
+// outlives cells in a sweep; the calibration memo is the new workload's.
+//
+//	go test -run xxx -bench CellSetup -benchmem -cpu 1 ./internal/system
+func BenchmarkCellSetup(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Machine.Mesh = topo.NewMesh(16, 16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		wl, err := DatacenterWorkload(cfg.Machine, rand.New(rand.NewSource(1)), true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for design := 0; design < 5; design++ {
+			buildStates(cfg, wl)
+		}
+	}
+}

@@ -81,29 +81,40 @@ func (c Config) assocFactor(ways float64) float64 {
 // per run is reused across epochs via reset, so the per-epoch vote tables
 // and loserFrac live in recycled scratch instead of fresh maps.
 type epochModel struct {
-	cfg  Config
-	in   *core.Input
-	pl   *core.Placement
-	prev *core.Placement // previous epoch's placement (nil on the first)
+	cfg Config
+	in  *core.Input
+	pl  *core.Placement
 	// loserFrac[app] is the fraction of the app's capacity living in banks
 	// where its preferred replacement policy loses the set-dueling election.
 	loserFrac []float64
+	// moved[app] is the app's MovedFraction against the placement this
+	// epoch's replaced (0 without a reconfiguration), taken once per epoch
+	// for the movement cost, the run's ReconfigMoved and the churn events.
+	moved []float64
 	// Per-bank set-dueling vote scratch (physical and overlay LLC spaces).
 	physical, overlay []vote
 }
 
 type vote struct{ brrip, srrip float64 }
 
-// reset points the model at this epoch's placement and recomputes the
-// set-dueling state, reusing all scratch.
+// reset points the model at this epoch's placement, recomputes the
+// set-dueling state and takes each app's MovedFraction against prev (nil
+// when the epoch did not reconfigure), reusing all scratch.
 func (m *epochModel) reset(in *core.Input, pl, prev *core.Placement, apps []*appState) {
-	m.in, m.pl, m.prev = in, pl, prev
+	m.in, m.pl = in, pl
 	if cap(m.loserFrac) < len(apps) {
 		m.loserFrac = make([]float64, len(apps))
 	}
 	m.loserFrac = m.loserFrac[:len(apps)]
 	for i := range m.loserFrac {
 		m.loserFrac[i] = 0
+	}
+	if cap(m.moved) < len(apps) {
+		m.moved = make([]float64, len(apps))
+	}
+	m.moved = m.moved[:len(apps)]
+	for i := range m.moved {
+		m.moved[i] = pl.MovedFraction(core.AppID(i), prev)
 	}
 	banks := m.cfg.Machine.Banks()
 	if cap(m.physical) < banks {
@@ -210,7 +221,7 @@ func (m *epochModel) appPerf(a *appState) perf {
 		// Data movement cost (Sec. IV-A): lines whose bank home moved were
 		// invalidated by the coherence walk and refetch as cold misses,
 		// amortized over this epoch's LLC accesses.
-		movedLines := m.pl.MovedFraction(a.id, m.prev) * size / 64
+		movedLines := m.moved[a.id] * size / 64
 		epochAccesses := a.trueRate * m.cfg.EpochCycles()
 		miss += movedLines / epochAccesses
 	}
@@ -244,12 +255,24 @@ func energyCounts(a *appState, p perf, instructions float64) energy.Counts {
 
 // meanHopsFromCore is the average distance from a core to all banks — the
 // S-NUCA expected distance used for reference CPIs and "alone" baselines.
+// It sums Mesh.Hops's integer distances over the mesh's coordinates rather
+// than converting every bank ID back to coordinates.
 func meanHopsFromCore(m core.Machine, c topo.TileID) float64 {
+	p := m.Mesh.Coord(c)
 	total := 0
-	for b := 0; b < m.Banks(); b++ {
-		total += m.Mesh.Hops(c, topo.TileID(b))
+	for y := 0; y < m.Mesh.H; y++ {
+		for x := 0; x < m.Mesh.W; x++ {
+			total += absInt(x-p.X) + absInt(y-p.Y)
+		}
 	}
 	return float64(total) / float64(m.Banks())
+}
+
+func absInt(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // p95MM1 is the analytic 95th-percentile sojourn time of an M/M/1 queue

@@ -101,11 +101,12 @@ func (o *runObserver) epochUs(epoch int) float64 {
 
 // observeEpoch records one epoch's outcome. reconfigured reports whether
 // the placer ran this epoch (cause says why: initial | periodic |
-// delayed); prev is the placement it replaced (nil on the first epoch or
-// when it did not run). in still carries the latest reconfiguration's
-// controller targets; perfs carries each app's epoch perf when any sink
-// needing attribution is enabled (nil otherwise).
-func (o *runObserver) observeEpoch(epoch int, reconfigured bool, cause string, in *core.Input, pl, prev *core.Placement,
+// delayed); moved holds each app's MovedFraction against the placement it
+// replaced (zeros on the first epoch or when it did not run). in still
+// carries the latest reconfiguration's controller targets; perfs carries
+// each app's epoch perf when any sink needing attribution is enabled (nil
+// otherwise).
+func (o *runObserver) observeEpoch(epoch int, reconfigured bool, cause string, in *core.Input, pl *core.Placement, moved []float64,
 	sample EpochSample, apps []*appState, perfs []perf, ctrls map[core.AppID]*feedback.Controller, fixedLat *float64) {
 	o.epochs.Inc()
 	if reconfigured {
@@ -160,20 +161,19 @@ func (o *runObserver) observeEpoch(epoch int, reconfigured bool, cause string, i
 				}
 			}
 		}
-		for i := range in.Apps {
+		for i, f := range moved {
 			id := core.AppID(i)
-			moved := pl.MovedFraction(id, prev)
-			if moved > maxMoved {
-				maxMoved = moved
+			if f > maxMoved {
+				maxMoved = f
 			}
-			if moved > 0 {
+			if f > 0 {
 				appsMoved++
-				movedBytes += moved * pl.TotalOf(id)
+				movedBytes += f * pl.TotalOf(id)
 			}
 			if decisions {
 				changes = append(changes, obs.PlacementChange{
 					App: i, Name: apps[i].name, Banks: pl.BankCount(id),
-					TotalBytes: pl.TotalOf(id), MovedFraction: moved,
+					TotalBytes: pl.TotalOf(id), MovedFraction: f,
 				})
 			}
 		}

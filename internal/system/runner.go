@@ -229,14 +229,6 @@ func run(cfg Config, wl Workload, placer core.Placer, epochs, warmup int, fixedL
 			}
 		}
 		checkEpochInvariants(&cfg, in, pl, epoch, reconfigured, boundary)
-		if reconfigured && prevForModel != nil && epoch >= warmup {
-			moved := 0.0
-			for i := range apps {
-				moved += pl.MovedFraction(core.AppID(i), prevForModel)
-			}
-			reconfigMovedSum += moved / float64(len(apps))
-			reconfigCount++
-		}
 		// The span covers the whole per-epoch model step: performance and
 		// vulnerability evaluation for every app under the epoch's placement.
 		var modelSp obs.Span
@@ -245,6 +237,14 @@ func run(cfg Config, wl Workload, placer core.Placer, epochs, warmup int, fixedL
 		}
 		model.reset(in, pl, prevForModel, apps)
 		vp.run(in, pl, vuln)
+		if reconfigured && prevForModel != nil && epoch >= warmup {
+			moved := 0.0
+			for _, f := range model.moved {
+				moved += f
+			}
+			reconfigMovedSum += moved / float64(len(apps))
+			reconfigCount++
+		}
 
 		sample := EpochSample{
 			Epoch:   epoch,
@@ -334,7 +334,7 @@ func run(cfg Config, wl Workload, placer core.Placer, epochs, warmup int, fixedL
 			totalVulnAcc += epochVulnAcc
 		}
 		res.Timeline = append(res.Timeline, sample)
-		observer.observeEpoch(epoch, reconfigured, cause, in, pl, prevForModel, sample, apps, perfs, ctrls, fixedLat)
+		observer.observeEpoch(epoch, reconfigured, cause, in, pl, model.moved, sample, apps, perfs, ctrls, fixedLat)
 	}
 
 	// Summaries.
@@ -375,32 +375,37 @@ func run(cfg Config, wl Workload, placer core.Placer, epochs, warmup int, fixedL
 }
 
 // buildStates initializes per-app simulation state. Apps are copies of a
-// few fixed profiles, so within one run each distinct profile's miss curve
-// is sampled and hulled once and its hull shared, read-only, by every app
-// of that profile; and each distinct isolation run (see isolatedP95) runs
-// once. Profiles compare with ==, so two that differ only in a zero's sign
-// share a hull; MissRatio gives such profiles the same bits or rejects both.
+// few fixed profiles, so within one run each distinct profile's hull is
+// looked up once, in the process-wide curve memo (batchHull, lcHull), and
+// shared, read-only, by every app of that profile even if the memo drops it
+// mid-run; and each distinct isolation run (see isolatedP95) runs once per
+// Workload, through wl.calib, or once per run for a Workload literal.
+// Profiles compare with ==, so two that differ only in a zero's sign share
+// a hull; MissRatio gives such profiles the same bits or rejects both.
 func buildStates(cfg Config, wl Workload) []*appState {
 	unit := cfg.Machine.WayBytes()
 	points := cfg.CurvePoints()
 	batchHulls := map[workload.Profile]mrc.Curve{}
 	lcHulls := map[tailbench.Profile]mrc.Curve{}
-	deadlines := map[[2]uint64]float64{}
-	batchHull := func(p workload.Profile) mrc.Curve { return p.MissRatio(unit, points).ConvexHull() }
-	lcHull := func(p tailbench.Profile) mrc.Curve { return p.MissRatio(unit, points).ConvexHull() }
+	batch := func(p workload.Profile) mrc.Curve { return batchHull(p, unit, points) }
+	lc := func(p tailbench.Profile) mrc.Curve { return lcHull(p, unit, points) }
+	calib := wl.calib
+	if calib == nil {
+		calib = new(calibMemo)
+	}
 	apps := make([]*appState, len(wl.Apps))
 	for i, ac := range wl.Apps {
 		a := &appState{cfg: ac, id: core.AppID(i), name: ac.Name()}
 		if ac.Batch != nil {
 			p := ac.Batch
 			a.baseCPI, a.apki = p.BaseCPI, p.APKI
-			a.hull = memoize(batchHulls, *p, batchHull)
+			a.hull = memoize(batchHulls, *p, batch)
 			a.prefBRRIP = p.Shape == workload.Stream
 			for _, ph := range ac.BatchPhases {
 				a.phases = append(a.phases, phaseModel{
 					baseCPI:   ph.BaseCPI,
 					apki:      ph.APKI,
-					hull:      memoize(batchHulls, *ph, batchHull),
+					hull:      memoize(batchHulls, *ph, batch),
 					prefBRRIP: ph.Shape == workload.Stream,
 				})
 			}
@@ -412,8 +417,8 @@ func buildStates(cfg Config, wl Workload) []*appState {
 		} else {
 			p := ac.LatCrit
 			a.baseCPI, a.apki = p.BaseCPI, p.APKI
-			a.hull = memoize(lcHulls, *p, lcHull)
-			a.queue = calibrateLC(cfg, a, p, ac, int64(i), deadlines)
+			a.hull = memoize(lcHulls, *p, lc)
+			a.queue = calibrateLC(cfg, a, p, ac, int64(i), calib)
 			a.trueRate = a.queue.lambda * a.queue.workKI * a.apki
 			a.accessRate = a.trueRate * cfg.LCVisibleRate
 		}
@@ -435,9 +440,8 @@ func memoize[K comparable, V any](m map[K]V, k K, f func(K) V) V {
 // calibrateLC derives the app's per-request work and deadline from the
 // paper's methodology: the deadline is the 95th-percentile latency when the
 // application runs in isolation at high load with four LLC ways under
-// way-partitioning (Sec. VII). deadlines memoizes isolatedP95 within one
-// run, keyed by the bits of its two inputs besides cfg.
-func calibrateLC(cfg Config, a *appState, p *tailbench.Profile, ac AppConfig, seed int64, deadlines map[[2]uint64]float64) *queueState {
+// way-partitioning (Sec. VII), taken through calib.
+func calibrateLC(cfg Config, a *appState, p *tailbench.Profile, ac AppConfig, seed int64, calib *calibMemo) *queueState {
 	refHops := meanHopsFromCore(cfg.Machine, ac.Core)
 	refHitLat := cfg.BankLatency + 2*refHops*cfg.HopCycles()
 	refSize := 4 * cfg.Machine.WayBytes() * float64(cfg.Machine.Banks())
@@ -454,14 +458,10 @@ func calibrateLC(cfg Config, a *appState, p *tailbench.Profile, ac AppConfig, se
 
 	sim := tailbench.NewQueueSim(cfg.Seed*1000 + seed)
 	sim.SetRate(lambda)
-	key := [2]uint64{math.Float64bits(p.HighQPS), math.Float64bits(meanService)}
-	deadline := memoize(deadlines, key, func([2]uint64) float64 {
-		return isolatedP95(cfg, p.HighQPS, meanService)
-	})
 	return &queueState{
 		sim:      sim,
 		workKI:   workKI,
-		deadline: deadline,
+		deadline: calib.deadline(cfg, p.HighQPS, meanService),
 		lambda:   lambda,
 	}
 }
@@ -469,8 +469,9 @@ func calibrateLC(cfg Config, a *appState, p *tailbench.Profile, ac AppConfig, se
 // isolatedP95 measures the reference 95th-percentile latency by simulating
 // the application alone at high load (highQPS) with the reference
 // (four-way) service time — the same estimator used during runs, so the
-// deadline is unbiased. The queue's seed comes from cfg, so the result
-// depends on cfg, highQPS and meanService alone.
+// deadline is unbiased. Of cfg it reads Seed, FreqHz, EpochSeconds and
+// Feedback.Percentile; calibMemo keys it by those, highQPS and
+// meanService.
 func isolatedP95(cfg Config, highQPS, meanService float64) float64 {
 	sim := tailbench.NewQueueSim(cfg.Seed + 7919)
 	sim.SetRate(highQPS / cfg.FreqHz)

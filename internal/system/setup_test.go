@@ -166,69 +166,83 @@ func curveDiff(got, want mrc.Curve) string {
 // per-app loop on every field a run reads, across case studies of every LC
 // app, mixed, datacenter meshes, every ScalingWorkload split, phases and
 // migrations, and checks the memo fires: apps of one profile share a hull.
+// Every case runs set-up three times with one calibration memo shared by
+// all cases' configs, so the second and third calls read hulls and
+// deadlines from the memos.
 func TestBuildStatesMatchesPerAppReference(t *testing.T) {
+	calib := new(calibMemo)
 	for _, sc := range setupCases(t) {
-		got, want := buildStates(sc.cfg, sc.wl), buildStatesReference(sc.cfg, sc.wl)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d apps, want %d", sc.name, len(got), len(want))
+		sc.wl.calib = calib
+		for call := 1; call <= 3; call++ {
+			got, want := buildStates(sc.cfg, sc.wl), buildStatesReference(sc.cfg, sc.wl)
+			checkStates(t, fmt.Sprintf("%s call %d", sc.name, call), sc.cfg, got, want)
+			assertHullsShared(t, sc.name, sc.wl, got)
 		}
-		for i := range want {
-			g, w := got[i], want[i]
-			where := fmt.Sprintf("%s app %d (%s)", sc.name, i, w.name)
-			if g.name != w.name || g.id != w.id || g.prefBRRIP != w.prefBRRIP {
-				t.Fatalf("%s: identity differs", where)
-			}
-			if d := curveDiff(g.hull, w.hull); d != "" {
-				t.Fatalf("%s: hull %s", where, d)
-			}
-			for _, f := range []struct {
-				name      string
-				got, want float64
-			}{
-				{"baseCPI", g.baseCPI, w.baseCPI}, {"apki", g.apki, w.apki},
-				{"ipcAlone", g.ipcAlone, w.ipcAlone}, {"accessRate", g.accessRate, w.accessRate},
-				{"trueRate", g.trueRate, w.trueRate},
-			} {
-				if bitsDiffer(f.got, f.want) {
-					t.Fatalf("%s: %s = %v, want %v", where, f.name, f.got, f.want)
-				}
-			}
-			if len(g.phases) != len(w.phases) {
-				t.Fatalf("%s: %d phases, want %d", where, len(g.phases), len(w.phases))
-			}
-			for k := range w.phases {
-				gp, wp := g.phases[k], w.phases[k]
-				if d := curveDiff(gp.hull, wp.hull); d != "" {
-					t.Fatalf("%s: phase %d hull %s", where, k, d)
-				}
-				if bitsDiffer(gp.baseCPI, wp.baseCPI) || bitsDiffer(gp.apki, wp.apki) || gp.prefBRRIP != wp.prefBRRIP {
-					t.Fatalf("%s: phase %d model inputs differ", where, k)
-				}
-			}
-			if (g.queue == nil) != (w.queue == nil) {
-				t.Fatalf("%s: queue presence differs", where)
-			}
-			if w.queue == nil {
-				continue
-			}
-			gq, wq := g.queue, w.queue
-			if bitsDiffer(gq.workKI, wq.workKI) || bitsDiffer(gq.lambda, wq.lambda) || bitsDiffer(gq.deadline, wq.deadline) {
-				t.Fatalf("%s: workKI/lambda/deadline = %v/%v/%v, want %v/%v/%v",
-					where, gq.workKI, gq.lambda, gq.deadline, wq.workKI, wq.lambda, wq.deadline)
-			}
-			// The per-app queue keeps its own seed: the next epoch matches.
-			gl := gq.sim.RunEpochAppend(nil, sc.cfg.EpochCycles(), 1e5)
-			wl := wq.sim.RunEpochAppend(nil, sc.cfg.EpochCycles(), 1e5)
-			if len(gl) != len(wl) {
-				t.Fatalf("%s: queue sims diverge", where)
-			}
-			for k := range wl {
-				if bitsDiffer(gl[k], wl[k]) {
-					t.Fatalf("%s: queue sims diverge at request %d", where, k)
-				}
+	}
+}
+
+// checkStates fails unless got matches want bitwise on every field a run
+// reads, and each LC app's queue draws the same next epoch.
+func checkStates(t *testing.T, name string, cfg Config, got, want []*appState) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d apps, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		where := fmt.Sprintf("%s app %d (%s)", name, i, w.name)
+		if g.name != w.name || g.id != w.id || g.prefBRRIP != w.prefBRRIP {
+			t.Fatalf("%s: identity differs", where)
+		}
+		if d := curveDiff(g.hull, w.hull); d != "" {
+			t.Fatalf("%s: hull %s", where, d)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"baseCPI", g.baseCPI, w.baseCPI}, {"apki", g.apki, w.apki},
+			{"ipcAlone", g.ipcAlone, w.ipcAlone}, {"accessRate", g.accessRate, w.accessRate},
+			{"trueRate", g.trueRate, w.trueRate},
+		} {
+			if bitsDiffer(f.got, f.want) {
+				t.Fatalf("%s: %s = %v, want %v", where, f.name, f.got, f.want)
 			}
 		}
-		assertHullsShared(t, sc.name, sc.wl, got)
+		if len(g.phases) != len(w.phases) {
+			t.Fatalf("%s: %d phases, want %d", where, len(g.phases), len(w.phases))
+		}
+		for k := range w.phases {
+			gp, wp := g.phases[k], w.phases[k]
+			if d := curveDiff(gp.hull, wp.hull); d != "" {
+				t.Fatalf("%s: phase %d hull %s", where, k, d)
+			}
+			if bitsDiffer(gp.baseCPI, wp.baseCPI) || bitsDiffer(gp.apki, wp.apki) || gp.prefBRRIP != wp.prefBRRIP {
+				t.Fatalf("%s: phase %d model inputs differ", where, k)
+			}
+		}
+		if (g.queue == nil) != (w.queue == nil) {
+			t.Fatalf("%s: queue presence differs", where)
+		}
+		if w.queue == nil {
+			continue
+		}
+		gq, wq := g.queue, w.queue
+		if bitsDiffer(gq.workKI, wq.workKI) || bitsDiffer(gq.lambda, wq.lambda) || bitsDiffer(gq.deadline, wq.deadline) {
+			t.Fatalf("%s: workKI/lambda/deadline = %v/%v/%v, want %v/%v/%v",
+				where, gq.workKI, gq.lambda, gq.deadline, wq.workKI, wq.lambda, wq.deadline)
+		}
+		// The per-app queue keeps its own seed: the next epoch matches.
+		gl := gq.sim.RunEpochAppend(nil, cfg.EpochCycles(), 1e5)
+		wl := wq.sim.RunEpochAppend(nil, cfg.EpochCycles(), 1e5)
+		if len(gl) != len(wl) {
+			t.Fatalf("%s: queue sims diverge", where)
+		}
+		for k := range wl {
+			if bitsDiffer(gl[k], wl[k]) {
+				t.Fatalf("%s: queue sims diverge at request %d", where, k)
+			}
+		}
 	}
 }
 

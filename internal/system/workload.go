@@ -52,6 +52,11 @@ type Workload struct {
 	Apps []AppConfig
 	// Migrations are applied at the given epochs' starts, in order.
 	Migrations []Migration
+
+	// calib memoizes the latency-critical deadlines of every run of this
+	// workload, shared by its copies. BuildVMWorkload and DatacenterWorkload
+	// set it; a nil calib (a Workload literal) gives each run its own.
+	calib *calibMemo
 }
 
 // Validate checks the workload against the machine.
@@ -123,7 +128,7 @@ func BuildVMWorkload(m core.Machine, vms []VMSpec, mix []workload.Profile, highL
 	// Order cores so that each VM's block starts at a corner-ish tile:
 	// cores sorted by distance from the VM's anchor corner.
 	corners := m.Mesh.Corners()
-	var w Workload
+	w := Workload{calib: new(calibMemo)}
 	used := make(map[topo.TileID]bool)
 	mixNext := 0
 	for vmIdx, vm := range vms {
@@ -209,7 +214,7 @@ func DatacenterWorkload(m core.Machine, rng *rand.Rand, highLoad bool) (Workload
 		return Workload{}, fmt.Errorf("system: %d apps exceed %d cores", 5*nVMs, m.Banks())
 	}
 	mix := workload.RandomMix(rng, 4*nVMs)
-	var w Workload
+	w := Workload{calib: new(calibMemo)}
 	used := make(map[topo.TileID]bool)
 	mixNext := 0
 	for vmIdx := 0; vmIdx < nVMs; vmIdx++ {
