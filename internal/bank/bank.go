@@ -23,7 +23,10 @@ import (
 
 // PartitionID identifies a way-partition within a bank. In the full system a
 // partition corresponds to one application (or one VM) as configured by the
-// LLC design in use. PartitionNone marks unpartitioned lines.
+// LLC design in use. PartitionNone marks unpartitioned lines. A partition is
+// PartitionNone or non-negative: banks keep per-partition state in slices
+// indexed from PartitionNone and panic on anything below it, as New does on
+// a bad geometry (partitions are programmer-chosen).
 type PartitionID int
 
 // PartitionNone is the partition of lines inserted without a way mask
@@ -71,14 +74,15 @@ func DefaultConfig() Config {
 	return Config{Sets: 512, Ways: 32, LineSize: 64, Policy: DRRIP}
 }
 
-// line is one cache line's bookkeeping.
+// line is one cache line's bookkeeping. The words come first and the bytes
+// last, so a line packs into 32 bytes.
 type line struct {
 	tag   uint64
+	used  uint64 // LRU timestamp
+	part  PartitionID
 	valid bool
 	dirty bool
-	part  PartitionID
-	rrpv  uint8  // RRIP re-reference prediction value (0..maxRRPV)
-	used  uint64 // LRU timestamp
+	rrpv  uint8 // RRIP re-reference prediction value (0..maxRRPV)
 }
 
 const (
@@ -105,11 +109,17 @@ type Stats struct {
 // Bank is a set-associative cache bank. Create with New; the zero value is
 // not usable.
 type Bank struct {
-	cfg      Config
-	sets     [][]line
-	masks    map[PartitionID]uint64
-	stats    map[PartitionID]*Stats
-	psel     int // set-dueling selector: high means BRRIP is winning
+	cfg Config
+	// lines holds the sets one after another: set si is
+	// lines[si*Ways : (si+1)*Ways].
+	lines []line
+	// masks and stats are indexed by slot(p), so PartitionNone's entries
+	// come first; both grow to the largest partition seen. A zero mask
+	// leaves its partition unrestricted.
+	masks    []uint64
+	stats    []Stats
+	fullMask uint64 // every way of the bank
+	psel     int    // set-dueling selector: high means BRRIP is winning
 	clock    uint64
 	rng      *rand.Rand
 	setShift uint // log2(LineSize): the offset bits below the set index
@@ -151,15 +161,11 @@ func New(cfg Config) *Bank {
 		panic(fmt.Sprintf("bank: line size %d must be a positive power of two", cfg.LineSize))
 	}
 	b := &Bank{
-		cfg:   cfg,
-		sets:  make([][]line, cfg.Sets),
-		masks: make(map[PartitionID]uint64),
-		stats: make(map[PartitionID]*Stats),
-		psel:  pselMax / 2,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
-	for i := range b.sets {
-		b.sets[i] = make([]line, cfg.Ways)
+		cfg:      cfg,
+		lines:    make([]line, cfg.Sets*cfg.Ways),
+		fullMask: (uint64(1) << uint(cfg.Ways)) - 1,
+		psel:     pselMax / 2,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 	b.setShift = uint(bits.TrailingZeros64(cfg.LineSize))
 	b.setBits = uint(bits.TrailingZeros64(uint64(cfg.Sets)))
@@ -180,26 +186,29 @@ func (b *Bank) SizeBytes() uint64 {
 // different partitions may overlap (CAT allows it), though secure designs
 // configure them disjoint. Bits beyond the bank's associativity are ignored.
 func (b *Bank) SetWayMask(p PartitionID, mask uint64) {
-	mask &= (uint64(1) << uint(b.cfg.Ways)) - 1
-	if mask == 0 {
-		delete(b.masks, p)
-		return
+	i := slot(p)
+	mask &= b.fullMask
+	if i >= len(b.masks) {
+		if mask == 0 {
+			return
+		}
+		b.masks = append(b.masks, make([]uint64, i+1-len(b.masks))...)
 	}
-	b.masks[p] = mask
+	b.masks[i] = mask
 }
 
 // WayMask returns the way mask for p, or the full mask if unrestricted.
 func (b *Bank) WayMask(p PartitionID) uint64 {
-	if m, ok := b.masks[p]; ok {
-		return m
+	if i := slot(p); i < len(b.masks) && b.masks[i] != 0 {
+		return b.masks[i]
 	}
-	return (uint64(1) << uint(b.cfg.Ways)) - 1
+	return b.fullMask
 }
 
 // StatsFor returns a snapshot of partition p's counters.
 func (b *Bank) StatsFor(p PartitionID) Stats {
-	if s, ok := b.stats[p]; ok {
-		return *s
+	if i := slot(p); i < len(b.stats) {
+		return b.stats[i]
 	}
 	return Stats{}
 }
@@ -227,6 +236,12 @@ func (b *Bank) CurrentPolicy() Policy {
 		return BRRIP
 	}
 	return SRRIP
+}
+
+// set returns set si's ways.
+func (b *Bank) set(si int) []line {
+	i := si * b.cfg.Ways
+	return b.lines[i : i+b.cfg.Ways : i+b.cfg.Ways]
 }
 
 // setIndex maps an address to its set.
@@ -263,7 +278,7 @@ func (b *Bank) access(addr uint64, p PartitionID, write bool) bool {
 
 	si := b.setIndex(addr)
 	tag := b.tag(addr)
-	set := b.sets[si]
+	set := b.set(si)
 
 	for w := range set {
 		if set[w].valid && set[w].tag == tag {
@@ -289,7 +304,7 @@ func (b *Bank) access(addr uint64, p PartitionID, write bool) bool {
 func (b *Bank) Probe(addr uint64) bool {
 	si := b.setIndex(addr)
 	tag := b.tag(addr)
-	for _, l := range b.sets[si] {
+	for _, l := range b.set(si) {
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -301,7 +316,7 @@ func (b *Bank) Probe(addr uint64) bool {
 func (b *Bank) OwnerOf(addr uint64) (PartitionID, bool) {
 	si := b.setIndex(addr)
 	tag := b.tag(addr)
-	for _, l := range b.sets[si] {
+	for _, l := range b.set(si) {
 		if l.valid && l.tag == tag {
 			return l.part, true
 		}
@@ -309,13 +324,23 @@ func (b *Bank) OwnerOf(addr uint64) (PartitionID, bool) {
 	return PartitionNone, false
 }
 
-func (b *Bank) statsFor(p PartitionID) *Stats {
-	s, ok := b.stats[p]
-	if !ok {
-		s = &Stats{}
-		b.stats[p] = s
+// slot is p's index into masks and stats. It panics on a partition below
+// PartitionNone.
+func slot(p PartitionID) int {
+	if p < PartitionNone {
+		panic(fmt.Sprintf("bank: partition %d is below PartitionNone", p))
 	}
-	return s
+	return int(p) + 1
+}
+
+// statsFor returns p's counters, growing stats to hold them. The pointer
+// is good until the next call that grows stats.
+func (b *Bank) statsFor(p PartitionID) *Stats {
+	i := slot(p)
+	if i >= len(b.stats) {
+		b.stats = append(b.stats, make([]Stats, i+1-len(b.stats))...)
+	}
+	return &b.stats[i]
 }
 
 func (b *Bank) onHit(l *line) {
@@ -363,7 +388,7 @@ func (b *Bank) updateDueling(si int) {
 }
 
 func (b *Bank) fill(si int, tag uint64, p PartitionID, write bool) {
-	set := b.sets[si]
+	set := b.set(si)
 	mask := b.WayMask(p)
 	victim := b.findVictim(set, mask)
 	if set[victim].valid {
@@ -402,30 +427,24 @@ func (b *Bank) insertionRRPV(si int) uint8 {
 	}
 }
 
-// findVictim picks a victim way within mask. Invalid allowed ways win first.
-// For LRU the least-recently-used allowed line is chosen; for RRIP policies
-// the first allowed line at maxRRPV, aging allowed lines until one appears.
+// findVictim picks a victim way within mask, in one pass over the allowed
+// ways. The first invalid allowed way wins. Otherwise LRU takes the first
+// allowed line with the oldest timestamp, and the RRIP policies the first
+// allowed line with the largest RRPV, after aging every allowed line by the
+// gap between that RRPV and maxRRPV: where aging all allowed lines by one,
+// pass after pass, until one reaches maxRRPV would stop (RRPVs never
+// exceed maxRRPV).
 func (b *Bank) findVictim(set []line, mask uint64) int {
-	first := -1
-	for w := range set {
-		if mask&(1<<uint(w)) == 0 {
-			continue
-		}
-		if first < 0 {
-			first = w
-		}
-		if !set[w].valid {
-			return w
-		}
-	}
-	if first < 0 {
+	if mask == 0 {
 		panic("bank: empty way mask at fill")
 	}
+	victim := bits.TrailingZeros64(mask)
 	if b.cfg.Policy == LRU {
-		victim, oldest := first, ^uint64(0)
-		for w := range set {
-			if mask&(1<<uint(w)) == 0 {
-				continue
+		oldest := ^uint64(0)
+		for m := mask; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			if !set[w].valid {
+				return w
 			}
 			if set[w].used < oldest {
 				oldest = set[w].used
@@ -434,21 +453,23 @@ func (b *Bank) findVictim(set []line, mask uint64) int {
 		}
 		return victim
 	}
-	for {
-		for w := range set {
-			if mask&(1<<uint(w)) == 0 {
-				continue
-			}
-			if set[w].rrpv >= maxRRPV {
-				return w
-			}
+	var most uint8
+	for m := mask; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if !set[w].valid {
+			return w
 		}
-		for w := range set {
-			if mask&(1<<uint(w)) != 0 && set[w].rrpv < maxRRPV {
-				set[w].rrpv++
-			}
+		if set[w].rrpv > most {
+			most = set[w].rrpv
+			victim = w
 		}
 	}
+	if gap := maxRRPV - most; gap != 0 {
+		for m := mask; m != 0; m &= m - 1 {
+			set[bits.TrailingZeros64(m)].rrpv += gap
+		}
+	}
+	return victim
 }
 
 // InvalidateWhere walks every valid line and invalidates those whose
@@ -458,9 +479,10 @@ func (b *Bank) findVictim(set []line, mask uint64) int {
 // (Sec. IV-A "Coherence").
 func (b *Bank) InvalidateWhere(pred func(lineAddr uint64) bool) int {
 	n := 0
-	for si := range b.sets {
-		for w := range b.sets[si] {
-			l := &b.sets[si][w]
+	for si := 0; si < b.cfg.Sets; si++ {
+		set := b.set(si)
+		for w := range set {
+			l := &set[w]
 			if !l.valid {
 				continue
 			}
@@ -485,7 +507,7 @@ func (b *Bank) Invalidate(lineAddr uint64) int {
 		return 0
 	}
 	tag := b.tag(lineAddr)
-	set := b.sets[b.setIndex(lineAddr)]
+	set := b.set(b.setIndex(lineAddr))
 	n := 0
 	for w := range set {
 		if set[w].valid && set[w].tag == tag {
@@ -498,12 +520,11 @@ func (b *Bank) Invalidate(lineAddr uint64) int {
 
 // OccupancyOf returns the number of valid lines owned by partition p.
 func (b *Bank) OccupancyOf(p PartitionID) int {
+	slot(p) // panics on a partition below PartitionNone
 	n := 0
-	for si := range b.sets {
-		for w := range b.sets[si] {
-			if b.sets[si][w].valid && b.sets[si][w].part == p {
-				n++
-			}
+	for _, l := range b.lines {
+		if l.valid && l.part == p {
+			n++
 		}
 	}
 	return n

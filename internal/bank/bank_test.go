@@ -310,3 +310,47 @@ func TestWriteHitDirtiesLine(t *testing.T) {
 		t.Errorf("Writebacks = %d, want 1 (write-hit dirtied line)", st.Writebacks)
 	}
 }
+
+// TestPartitionSlots: PartitionNone and partition 0 keep separate counters
+// and masks, an unseen partition reads as unrestricted with zero counters,
+// and a partition below PartitionNone panics wherever the bank takes one.
+func TestPartitionSlots(t *testing.T) {
+	b := New(smallConfig(LRU))
+	cfg := b.Config()
+	b.SetWayMask(0, 0b0001)
+	b.Access(addrFor(cfg, 0, 1), PartitionNone)
+	b.Access(addrFor(cfg, 0, 2), PartitionNone)
+	b.Access(addrFor(cfg, 0, 3), 0)
+	if got := b.StatsFor(PartitionNone); got.Accesses != 2 || got.Misses != 2 {
+		t.Errorf("PartitionNone stats = %+v, want 2 accesses, 2 misses", got)
+	}
+	if got := b.StatsFor(0); got.Accesses != 1 {
+		t.Errorf("partition 0 stats = %+v, want 1 access", got)
+	}
+	if b.WayMask(PartitionNone) != 0b1111 || b.WayMask(0) != 0b0001 || b.WayMask(9) != 0b1111 {
+		t.Errorf("way masks %#b/%#b/%#b, want 0b1111/0b1/0b1111", b.WayMask(PartitionNone), b.WayMask(0), b.WayMask(9))
+	}
+	if got := b.StatsFor(9); got != (Stats{}) {
+		t.Errorf("unseen partition stats = %+v, want zero", got)
+	}
+	b.SetWayMask(0, 0)
+	if b.WayMask(0) != 0b1111 {
+		t.Errorf("cleared mask = %#b, want the full mask", b.WayMask(0))
+	}
+	for name, f := range map[string]func(){
+		"Access":      func() { b.Access(0, -2) },
+		"SetWayMask":  func() { b.SetWayMask(-2, 1) },
+		"WayMask":     func() { b.WayMask(-2) },
+		"StatsFor":    func() { b.StatsFor(-2) },
+		"OccupancyOf": func() { b.OccupancyOf(-2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted partition -2", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

@@ -2,20 +2,14 @@ package bank
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // sameLines reports whether two banks hold identical line arrays: every
 // way's tag, valid and dirty bits, owner and replacement state.
 func sameLines(a, b *Bank) bool {
-	for si := range a.sets {
-		for w := range a.sets[si] {
-			if a.sets[si][w] != b.sets[si][w] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(a.lines, b.lines)
 }
 
 // TestInvalidateMatchesWalk pins Invalidate, which probes one set, to the

@@ -45,10 +45,11 @@ func (r *walkRef) dropPrivate(c int, la uint64) int {
 
 func (r *walkRef) backInvalidate(la uint64) {
 	h := r.h
-	sharers, ok := h.directory[la]
-	if !ok {
+	i := h.dir.find(la)
+	if i < 0 {
 		return
 	}
+	sharers := h.dir.slots[i].sharers
 	for c := 0; c < len(h.l1); c++ {
 		if sharers&(1<<uint(c)) == 0 {
 			continue
@@ -58,15 +59,16 @@ func (r *walkRef) backInvalidate(la uint64) {
 		h.Invalidations += uint64(n)
 		h.obsInvals.Add(uint64(n))
 	}
-	delete(h.directory, la)
+	h.dir.remove(i)
 }
 
 func (r *walkRef) invalidateOtherSharers(la uint64, writer int) {
 	h := r.h
-	sharers, ok := h.directory[la]
-	if !ok {
+	i := h.dir.find(la)
+	if i < 0 {
 		return
 	}
+	sharers := h.dir.slots[i].sharers
 	for c := 0; c < len(h.l1); c++ {
 		if c == writer || sharers&(1<<uint(c)) == 0 {
 			continue
@@ -77,7 +79,7 @@ func (r *walkRef) invalidateOtherSharers(la uint64, writer int) {
 			h.WritebackInvals += uint64(n)
 		}
 	}
-	h.directory[la] = sharers & (1 << uint(writer))
+	h.dir.slots[i].sharers = sharers & (1 << uint(writer))
 }
 
 // Write drops the other sharers' copies by walking before the hierarchy's
@@ -160,7 +162,7 @@ func TestCoherenceMatchesWalkReference(t *testing.T) {
 			t.Fatalf("step %d: invalidations %d/%d, reference %d/%d", step,
 				h.Invalidations, h.WritebackInvals, ref.h.Invalidations, ref.h.WritebackInvals)
 		}
-		if !maps.Equal(h.directory, ref.h.directory) {
+		if !maps.Equal(h.dir.entries(), ref.h.dir.entries()) {
 			t.Fatalf("step %d: directories differ", step)
 		}
 		for i, b := range hBanks {
@@ -207,8 +209,8 @@ func TestBackInvalidationReachesCore31(t *testing.T) {
 	h.VTB().Install(0, vtb.SingleBank(0))
 	const first = uint64(0)
 	h.Access(31, first, 0)
-	if !h.l1[31].Probe(first) || h.directory[first] != 1<<31 {
-		t.Fatalf("setup: core 31 should hold the line and be its only sharer (directory %#x)", h.directory[first])
+	if sharers, _ := h.dir.lookup(first); !h.l1[31].Probe(first) || sharers != 1<<31 {
+		t.Fatalf("setup: core 31 should hold the line and be its only sharer (directory %#x)", sharers)
 	}
 	for i := uint64(1); i < 200; i++ {
 		h.Access(0, i*64*16, 0) // same LLC set as first (stride = sets*line)

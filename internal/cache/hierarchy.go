@@ -91,10 +91,12 @@ type Hierarchy struct {
 	vtb   *vtb.VTB // shared OS view: page table + VC descriptors
 	stats []Stats
 
-	// directory tracks which cores may hold a copy of each cached line
-	// (MESI sharer set; bit i = core i, so at most maxCores cores).
-	// Inclusive: lines leave the directory when they leave the LLC.
-	directory map[uint64]uint32
+	// dir tracks which cores may hold a copy of each cached line (MESI
+	// sharer set; bit i = core i, so at most maxCores cores). Inclusive:
+	// a line leaves the directory when a fill evicts it from the LLC or
+	// FlushBank drops it. InstallPlacement's walk leaves the entries of the
+	// lines it drops, whose private copies it drops too.
+	dir directory
 
 	// Invalidations counts back-invalidations sent to private caches
 	// (inclusion victims plus placement-change walks).
@@ -139,13 +141,13 @@ func New(cfg Config) *Hierarchy {
 		panic(fmt.Sprintf("cache: %d tiles exceed the directory's %d-core sharer vector", n, maxCores))
 	}
 	h := &Hierarchy{
-		cfg:       cfg,
-		l1:        make([]*bank.Bank, n),
-		l2:        make([]*bank.Bank, n),
-		llc:       make([]*bank.Bank, n),
-		vtb:       vtb.New(),
-		stats:     make([]Stats, n),
-		directory: make(map[uint64]uint32),
+		cfg:   cfg,
+		l1:    make([]*bank.Bank, n),
+		l2:    make([]*bank.Bank, n),
+		llc:   make([]*bank.Bank, n),
+		vtb:   vtb.New(),
+		stats: make([]Stats, n),
+		dir:   newDirectory(n * cfg.LLCBank.Sets * cfg.LLCBank.Ways),
 	}
 	for i := 0; i < n; i++ {
 		h.l1[i] = bank.New(cfg.L1)
@@ -216,10 +218,13 @@ func (h *Hierarchy) access(core int, addr uint64, part bank.PartitionID, write b
 		h.obsL1Hits.Inc()
 		return Outcome{Level: LevelL1}
 	}
+	// An L2 hit needs no directory update: the core is already a sharer.
+	// L1 and L2 fill only below, where the LLC step marks the core, and
+	// every clear of the core's bit drops its copies in the same call
+	// (TestPrivateHoldersAreSharers).
 	if h.l2[core].Access(la, 0) {
 		st.L2Hits++
 		h.obsL2Hits.Inc()
-		h.markSharer(la, core)
 		return Outcome{Level: LevelL2}
 	}
 
@@ -233,7 +238,7 @@ func (h *Hierarchy) access(core int, addr uint64, part bank.PartitionID, write b
 	st.HopsTotal += uint64(2 * hops)
 
 	hit := h.llc[bankID].Access(la, part)
-	h.markSharer(la, core)
+	h.dir.mark(la, core)
 	if hit {
 		st.LLCHits++
 		h.obsLLCHits.Inc()
@@ -244,18 +249,17 @@ func (h *Hierarchy) access(core int, addr uint64, part bank.PartitionID, write b
 	return Outcome{Level: LevelMemory, Bank: bankID, Hops: hops}
 }
 
-func (h *Hierarchy) markSharer(la uint64, core int) {
-	h.directory[la] |= 1 << uint(core)
-}
-
 // invalidateOtherSharers implements the write-invalidate half of MESI:
 // all private copies except the writer's are dropped. Like the hardware, it
 // probes the line's one set in each sharer's L1 and L2.
 func (h *Hierarchy) invalidateOtherSharers(la uint64, writer int) {
-	sharers, ok := h.directory[la]
-	if !ok {
+	i := h.dir.find(la)
+	if i < 0 {
 		return
 	}
+	// Private caches do not call back into the directory, so slot i holds
+	// la's entry throughout.
+	sharers := h.dir.slots[i].sharers
 	for c := 0; c < len(h.l1); c++ {
 		if c == writer || sharers&(1<<uint(c)) == 0 {
 			continue
@@ -265,17 +269,18 @@ func (h *Hierarchy) invalidateOtherSharers(la uint64, writer int) {
 			h.WritebackInvals += uint64(n)
 		}
 	}
-	h.directory[la] = sharers & (1 << uint(writer))
+	h.dir.slots[i].sharers = sharers & (1 << uint(writer))
 }
 
 // backInvalidate enforces inclusion: when a line leaves the LLC, every
 // private copy is dropped, probing the line's one set in each sharer's L1
 // and L2.
 func (h *Hierarchy) backInvalidate(la uint64) {
-	sharers, ok := h.directory[la]
-	if !ok {
+	i := h.dir.find(la)
+	if i < 0 {
 		return
 	}
+	sharers := h.dir.slots[i].sharers
 	for c := 0; c < len(h.l1); c++ {
 		if sharers&(1<<uint(c)) == 0 {
 			continue
@@ -284,7 +289,7 @@ func (h *Hierarchy) backInvalidate(la uint64) {
 		h.Invalidations += uint64(n)
 		h.obsInvals.Add(uint64(n))
 	}
-	delete(h.directory, la)
+	h.dir.remove(i)
 }
 
 // InstallPlacement installs a new placement descriptor for vc and performs
@@ -300,10 +305,6 @@ func (h *Hierarchy) InstallPlacement(vcID vtb.VCID, d vtb.Descriptor) int {
 	moved, _ := vtb.MovedLines(old, &d)
 	if len(moved) == 0 {
 		return 0
-	}
-	movedSet := make(map[int]bool, len(moved))
-	for _, e := range moved {
-		movedSet[e] = true
 	}
 	total := 0
 	for bid := range h.llc {

@@ -213,7 +213,7 @@ func TestFlushBankKeepsInclusionForStripedData(t *testing.T) {
 	if n := h.FlushBank(1); n != 1 {
 		t.Fatalf("FlushBank(1) = %d, want 1", n)
 	}
-	if sharers, ok := h.directory[0x40]; ok {
+	if sharers, ok := h.dir.lookup(0x40); ok {
 		t.Errorf("directory still lists sharers %b for 0x40 after its bank was flushed", sharers)
 	}
 	if h.Invalidations != 2 {

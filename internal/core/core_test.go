@@ -521,6 +521,23 @@ func TestMovedFraction(t *testing.T) {
 	}
 }
 
+// TestMovedFractionNaNTotal: skipping banks empty in both rows must not
+// hide a NaN total. The NaN entry is the only byte of its row, and every
+// other bank is empty in both rows and skipped.
+func TestMovedFractionNaNTotal(t *testing.T) {
+	m := DefaultMachine()
+	old := NewPlacement(m)
+	old.Add(0, 3, math.NaN())
+	cur := NewPlacement(m)
+	cur.Add(0, 3, 100)
+	if f := cur.MovedFraction(0, old); !math.IsNaN(f) {
+		t.Errorf("NaN old total moved %v, want NaN", f)
+	}
+	if f := old.MovedFraction(0, cur); !math.IsNaN(f) {
+		t.Errorf("NaN current total moved %v, want NaN", f)
+	}
+}
+
 func TestFixedPlacerBothModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	in := testWorkload(4, 4, rng)

@@ -477,9 +477,11 @@ func (p *Placement) MovedFraction(app AppID, prev *Placement) float64 {
 		return 0
 	}
 	// Total variation: half the L1 distance between the share distributions.
-	// Banks are walked in ascending order: banks in neither allocation
-	// contribute |0-0| = 0, and the float accumulation order never depends
-	// on how the placement was built (see TotalOf).
+	// Banks are walked in ascending order, so the float accumulation order
+	// never depends on how the placement was built (see TotalOf). A bank in
+	// neither allocation adds an exact +0 to the non-negative sum, so it is
+	// skipped. A NaN total still makes the result NaN: it needs a NaN or
+	// infinite entry in its row, and that bank is walked.
 	tv := 0.0
 	for b := 0; b < p.banks; b++ {
 		var o, c float64
@@ -488,6 +490,9 @@ func (p *Placement) MovedFraction(app AppID, prev *Placement) float64 {
 		}
 		if b < len(cur) {
 			c = cur[b]
+		}
+		if o == 0 && c == 0 {
+			continue
 		}
 		d := o/oldTotal - c/curTotal
 		if d < 0 {

@@ -8,8 +8,9 @@
 // deterministic: parallel sweep cells record into private DBs that are
 // merged back in cell-index order, and the JSON dump of the merged store
 // is byte-identical to a serial run's (TestParallelSinksEquivalence).
-// After a series' first Append the steady-state append path performs no
-// allocations (TestAppendSteadyStateAllocs).
+// Appends to a series the store creates perform no allocations, its ring
+// being sized at creation (TestAppendSteadyStateAllocs); a series Read
+// restores allocates as its ring grows to the capacity.
 package tsdb
 
 import (
@@ -36,8 +37,13 @@ type Sample struct {
 
 // Series is a single named ring buffer of samples.
 type Series struct {
-	name  string
+	name string
+	// ring holds the live samples. A series the store creates gets a ring
+	// of the full capacity; one Read restores gets a ring sized to the
+	// samples its dump held, which grows toward capacity as samples are
+	// appended, so a dump's capacity alone allocates nothing.
 	ring  []Sample
+	cap   int    // the store's per-series capacity
 	head  int    // index of the oldest sample
 	n     int    // live samples
 	total uint64 // samples ever appended (monotonic)
@@ -80,8 +86,9 @@ func (s *Series) At(i int) Sample {
 }
 
 // Append pushes one sample, evicting the oldest when full, dropping
-// non-finite values (see DB.Append). Zero allocations: the ring is sized
-// once at series creation. Nil-safe.
+// non-finite values (see DB.Append). Zero allocations on a series the
+// store creates, whose ring is sized at creation; a series Read restores
+// allocates as its ring grows to the capacity. Nil-safe.
 func (s *Series) Append(epoch int, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
@@ -90,17 +97,24 @@ func (s *Series) Append(epoch int, v float64) {
 }
 
 // append pushes one sample, evicting the oldest when full. Zero
-// allocations: the ring is sized once at series creation.
+// allocations on a ring sized at series creation; a ring Read restored
+// short grows until it reaches the capacity.
 func (s *Series) append(epoch int32, v float64) {
 	if s == nil {
 		return
 	}
-	if s.n == len(s.ring) {
-		s.ring[s.head] = Sample{epoch, v}
-		s.head = (s.head + 1) % len(s.ring)
-	} else {
+	switch {
+	case s.n < len(s.ring):
 		s.ring[(s.head+s.n)%len(s.ring)] = Sample{epoch, v}
 		s.n++
+	case len(s.ring) < s.cap:
+		// A short ring has never evicted, so head is 0 and the next sample
+		// goes at its end.
+		s.ring = append(s.ring, Sample{epoch, v})
+		s.n++
+	default:
+		s.ring[s.head] = Sample{epoch, v}
+		s.head = (s.head + 1) % len(s.ring)
 	}
 	s.total++
 }
@@ -151,7 +165,12 @@ func (db *DB) Series(name string) *Series {
 	if s, ok := db.byName[name]; ok {
 		return s
 	}
-	s := &Series{name: name, ring: make([]Sample, db.cap)}
+	return db.add(name, make([]Sample, db.cap))
+}
+
+// add registers a new series on ring.
+func (db *DB) add(name string, ring []Sample) *Series {
+	s := &Series{name: name, ring: ring, cap: db.cap}
 	db.byName[name] = s
 	db.order = append(db.order, name)
 	return s
@@ -263,7 +282,8 @@ func (db *DB) Write(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// Read parses a dump produced by Write back into a store.
+// Read parses a dump produced by Write back into a store. It allocates in
+// proportion to the samples the dump holds, whatever capacity it names.
 func Read(r io.Reader) (*DB, error) {
 	var f dumpFile
 	dec := json.NewDecoder(r)
@@ -279,9 +299,12 @@ func Read(r io.Reader) (*DB, error) {
 	}
 	db := New(f.Cap)
 	for _, sd := range f.Series {
-		s := db.Series(sd.Name)
 		if len(sd.Samples) > f.Cap {
 			return nil, fmt.Errorf("tsdb: series %q has %d samples, over capacity %d", sd.Name, len(sd.Samples), f.Cap)
+		}
+		s := db.Lookup(sd.Name)
+		if s == nil {
+			s = db.add(sd.Name, make([]Sample, 0, len(sd.Samples)))
 		}
 		s.total = sd.Start
 		for _, sm := range sd.Samples {

@@ -162,8 +162,8 @@ func TestNamesSortedDumpDeterministic(t *testing.T) {
 	}
 }
 
-// TestAppendSteadyStateAllocs pins the recorder's core promise: once a
-// series exists, appending costs zero allocations.
+// TestAppendSteadyStateAllocs pins the recorder's core promise: once the
+// store creates a series, appending to it costs zero allocations.
 func TestAppendSteadyStateAllocs(t *testing.T) {
 	db := New(64)
 	db.Append("a", 0, 1) // create the series
@@ -172,5 +172,63 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Append allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestReadHugeCapacity: a dump's capacity sizes nothing up front. A dump
+// naming the largest int capacity for one empty series used to make Read
+// allocate that many samples and panic; it reads, takes appends, and
+// round-trips.
+func TestReadHugeCapacity(t *testing.T) {
+	in := `{"v":1,"cap":9223372036854775807,"series":[{"name":"a","start":0,"samples":[]}]}`
+	db, err := Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Cap() != math.MaxInt64 || db.Lookup("a").Len() != 0 {
+		t.Fatalf("cap %d, %d samples; want the dump's cap and none", db.Cap(), db.Lookup("a").Len())
+	}
+	for e := 0; e < 3; e++ {
+		db.Append("a", e, float64(e))
+	}
+	var w1, w2 bytes.Buffer
+	if err := db.Write(&w1); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(bytes.NewReader(w1.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Write(&w2); err != nil {
+		t.Fatal(err)
+	}
+	if w1.String() != w2.String() || back.Lookup("a").Len() != 3 {
+		t.Fatalf("round trip differs or lost samples:\n%s\nvs\n%s", w1.String(), w2.String())
+	}
+}
+
+// TestReadRingWrapsAtCapacity: a series Read restores with fewer samples
+// than the capacity grows as samples arrive and then wraps at the
+// capacity, dropping the oldest, as a series the store created would.
+func TestReadRingWrapsAtCapacity(t *testing.T) {
+	in := `{"v":1,"cap":4,"series":[{"name":"a","start":5,"samples":[{"e":5,"v":5},{"e":6,"v":6}]}]}`
+	db, err := Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 7; e < 12; e++ {
+		db.Append("a", e, float64(e))
+	}
+	s := db.Lookup("a")
+	if s.Len() != 4 || s.Dropped() != 8 || s.Total() != 12 {
+		t.Fatalf("len=%d dropped=%d total=%d, want 4, 8, 12", s.Len(), s.Dropped(), s.Total())
+	}
+	for i := 0; i < 4; i++ {
+		if got := s.At(i); got.Epoch != int32(8+i) || got.Value != float64(8+i) {
+			t.Errorf("At(%d) = %+v, want epoch %d", i, got, 8+i)
+		}
+	}
+	if len(s.ring) != 4 {
+		t.Errorf("ring holds %d slots, want the capacity 4", len(s.ring))
 	}
 }

@@ -7,6 +7,7 @@ package umon
 
 import (
 	"fmt"
+	"math/bits"
 
 	"jumanji/internal/mrc"
 	"jumanji/internal/obs"
@@ -19,6 +20,14 @@ type Monitor struct {
 	buckets      int    // number of capacity buckets tracked
 	lineSize     uint64 // bytes per line
 	samplePeriod uint64 // sample 1-in-N line addresses (by hash)
+
+	// When lineSize and samplePeriod are powers of two, Access takes the
+	// line index by shift and the sampling test by mask: lineShift is
+	// log2(lineSize) and periodMask samplePeriod-1. pow2 says whether both
+	// are.
+	pow2       bool
+	lineShift  uint
+	periodMask uint64
 
 	stack []uint64 // sampled tags in LRU order, most recent first
 	hits  []uint64 // hits per stack-distance bucket
@@ -58,6 +67,9 @@ func New(bucketLines, buckets int, lineSize, samplePeriod uint64) *Monitor {
 		buckets:      buckets,
 		lineSize:     lineSize,
 		samplePeriod: samplePeriod,
+		pow2:         lineSize&(lineSize-1) == 0 && samplePeriod&(samplePeriod-1) == 0,
+		lineShift:    uint(bits.TrailingZeros64(lineSize)),
+		periodMask:   samplePeriod - 1,
 		hits:         make([]uint64, buckets),
 	}
 }
@@ -77,9 +89,17 @@ func sampleHash(lineAddr uint64) uint64 {
 func (m *Monitor) Access(addr uint64) {
 	m.Accesses++
 	m.obsAccesses.Inc()
-	tag := addr / m.lineSize
-	if sampleHash(tag)%m.samplePeriod != 0 {
-		return
+	var tag uint64
+	if m.pow2 {
+		tag = addr >> m.lineShift
+		if sampleHash(tag)&m.periodMask != 0 {
+			return
+		}
+	} else {
+		tag = addr / m.lineSize
+		if sampleHash(tag)%m.samplePeriod != 0 {
+			return
+		}
 	}
 	m.Sampled++
 	m.obsSampled.Inc()

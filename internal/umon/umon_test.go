@@ -2,6 +2,7 @@ package umon
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -158,6 +159,40 @@ func TestAgeHalvesCounts(t *testing.T) {
 	for i, v := range c.M {
 		if v < 0 || v > 1 {
 			t.Fatalf("M[%d] = %v out of range after aging", i, v)
+		}
+	}
+}
+
+// TestShiftMaskMatchesDivision pins Access's shift-and-mask path to the
+// division it stands for: at power-of-two line sizes and periods, a
+// monitor built by New and a copy made to take the division path see the
+// same random addresses, aligned or not, and must end in the same state.
+// A line size or period that is not a power of two takes the division path.
+func TestShiftMaskMatchesDivision(t *testing.T) {
+	for _, c := range []struct{ line, period uint64 }{{64, 1}, {64, 8}, {64, 64}, {32, 128}} {
+		fast, div := New(4, 16, c.line, c.period), New(4, 16, c.line, c.period)
+		if !fast.pow2 {
+			t.Fatalf("line %d, period %d: New did not take the shift-and-mask path", c.line, c.period)
+		}
+		div.pow2 = false
+		rng := rand.New(rand.NewSource(int64(c.period)))
+		for i := 0; i < 20000; i++ {
+			addr := uint64(rng.Intn(512))*c.line + uint64(rng.Intn(int(c.line)))
+			if i%5 == 0 {
+				addr = rng.Uint64()
+			}
+			fast.Access(addr)
+			div.Access(addr)
+		}
+		if fast.Sampled == 0 || fast.Sampled != div.Sampled || fast.colds != div.colds ||
+			!slices.Equal(fast.stack, div.stack) || !slices.Equal(fast.hits, div.hits) {
+			t.Fatalf("line %d, period %d: shift-and-mask state differs from division's (%d vs %d sampled)",
+				c.line, c.period, fast.Sampled, div.Sampled)
+		}
+	}
+	for _, c := range []struct{ line, period uint64 }{{48, 8}, {64, 10}} {
+		if New(4, 16, c.line, c.period).pow2 {
+			t.Errorf("line %d, period %d took the shift-and-mask path", c.line, c.period)
 		}
 	}
 }
