@@ -97,7 +97,7 @@ func TestStdoutIsRunnerOutput(t *testing.T) {
 		var want []byte
 		for _, sp := range specs(t, args) {
 			rn, _ := serve.Builtins().Lookup(sp.Type)
-			out, err := rn.Run(&sp, serve.Env{Parallel: 1})
+			out, err := rn.Run(&sp, sweep.Env{Parallel: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

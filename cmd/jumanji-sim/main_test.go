@@ -122,7 +122,7 @@ func TestStdoutIsRunnerOutput(t *testing.T) {
 		}
 		sp := specs(t, args)[0]
 		rn, _ := serve.Builtins().Lookup(sp.Type)
-		want, err := rn.Run(&sp, serve.Env{Parallel: 1})
+		want, err := rn.Run(&sp, sweep.Env{Parallel: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

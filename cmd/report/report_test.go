@@ -34,7 +34,8 @@ func genRun(t *testing.T, dir string) (events, ts, trace, prov string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := harness.Options{Mixes: 2, Epochs: 10, Warmup: 3, Seed: 1, Parallel: 2}
+	o := harness.Options{Mixes: 2, Epochs: 10, Warmup: 3, Seed: 1}
+	o.Parallel = 2
 	o.Metrics = obs.NewRegistry()
 	o.Events = obs.NewEventLog(evF)
 	o.Trace = obs.NewTrace(trF)

@@ -93,10 +93,11 @@ func TestDirectoryMatchesMap(t *testing.T) {
 // TestPrivateHoldersAreSharers pins the inclusion invariant that lets an L2
 // hit skip the directory: after every step of a random four-core
 // read/write trace, with placement changes and bank flushes interleaved,
-// every core holding a line in its L1 or L2 is a sharer of that line. It
-// also runs the trace on a second hierarchy that marks the core a sharer
-// on every L2 hit, as the access path did before, and both must hold the
-// same directory and outcomes after every step.
+// every core holding a line in its L1 or L2 is a sharer of that line, and
+// every line the directory names is held by some LLC bank. It also runs the
+// trace on a second hierarchy that marks the core a sharer on every L2 hit,
+// as the access path did before, and both must hold the same directory and
+// outcomes after every step.
 func TestPrivateHoldersAreSharers(t *testing.T) {
 	cfg := testConfig()
 	h, marking := New(cfg), New(cfg)
@@ -170,8 +171,19 @@ func TestPrivateHoldersAreSharers(t *testing.T) {
 				}
 			}
 		}
-		if !maps.Equal(h.dir.entries(), marking.dir.entries()) {
+		entries := h.dir.entries()
+		if !maps.Equal(entries, marking.dir.entries()) {
 			t.Fatalf("step %d: directory differs from the one marked on L2 hits", step)
+		}
+		// Inclusion: a line leaves the directory when it leaves the LLC.
+		for la := range entries {
+			inLLC := false
+			for _, b := range h.llc {
+				inLLC = inLLC || b.Probe(la)
+			}
+			if !inLLC {
+				t.Fatalf("step %d: directory names %#x, which no LLC bank holds", step, la)
+			}
 		}
 	}
 	if l2Hits < 500 {

@@ -94,8 +94,7 @@ type Hierarchy struct {
 	// dir tracks which cores may hold a copy of each cached line (MESI
 	// sharer set; bit i = core i, so at most maxCores cores). Inclusive:
 	// a line leaves the directory when a fill evicts it from the LLC or
-	// FlushBank drops it. InstallPlacement's walk leaves the entries of the
-	// lines it drops, whose private copies it drops too.
+	// FlushBank or InstallPlacement's walk drops it.
 	dir directory
 
 	// Invalidations counts back-invalidations sent to private caches
@@ -294,8 +293,9 @@ func (h *Hierarchy) backInvalidate(la uint64) {
 
 // InstallPlacement installs a new placement descriptor for vc and performs
 // the background coherence walk: lines of vc whose descriptor entry moved to
-// a different bank are invalidated from their old banks (and, by inclusion,
-// from private caches). It returns the number of LLC lines invalidated.
+// a different bank are invalidated from their old banks and, by inclusion,
+// back-invalidated from their sharers' private caches, as FlushBank does.
+// It returns the number of LLC lines invalidated.
 func (h *Hierarchy) InstallPlacement(vcID vtb.VCID, d vtb.Descriptor) int {
 	old, had := h.vtb.Descriptor(vcID)
 	h.vtb.Install(vcID, d)
@@ -314,28 +314,16 @@ func (h *Hierarchy) InstallPlacement(vcID vtb.VCID, d vtb.Descriptor) int {
 			if !found || vc != vcID {
 				return false
 			}
-			// The line must both hash to a moved entry and currently live
-			// in a bank that is no longer its home.
-			if old.BankFor(lineAddr) != bid {
-				return false // reconstructed address aliases another VC's line
+			// The line must live in its old home (elsewhere, the
+			// reconstructed address aliases another VC's line), and that
+			// bank must no longer be its home.
+			if old.BankFor(lineAddr) != bid || d.BankFor(lineAddr) == bid {
+				return false
 			}
-			return d.BankFor(lineAddr) != bid
+			h.backInvalidate(lineAddr)
+			return true
 		})
 		total += n
-	}
-	// Dropped LLC lines must also leave private caches (inclusion). The
-	// walk above cannot easily reconstruct full addresses per line, so we
-	// conservatively rely on OnEvict-independent invalidation here: walk
-	// private caches for lines of this VC that moved.
-	for c := range h.l1 {
-		inval := func(a uint64) bool {
-			vc, found := h.vtb.VCFor(a)
-			return found && vc == vcID && old.BankFor(a) != d.BankFor(a)
-		}
-		n := h.l1[c].InvalidateWhere(inval)
-		n += h.l2[c].InvalidateWhere(inval)
-		h.Invalidations += uint64(n)
-		h.obsInvals.Add(uint64(n))
 	}
 	return total
 }

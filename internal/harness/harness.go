@@ -11,21 +11,18 @@
 // sweep points — and every figure fans its independent cells across a
 // worker pool (internal/parallel). Each cell derives its own RNG seeds from
 // Options.Seed and the cell's identity (cellSeed) and records into private
-// observability sinks (obs.Cell), merged back in cell order, so results and
-// sink output are bit-identical to a serial run for any Parallel setting.
+// observability sinks (sweep.Cells), merged back in cell order, so results
+// and sink output are bit-identical to a serial run for any Parallel setting.
 package harness
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
 
-	"jumanji/internal/chaos"
 	"jumanji/internal/core"
-	"jumanji/internal/obs"
 	"jumanji/internal/stats"
 	"jumanji/internal/sweep"
 	"jumanji/internal/system"
@@ -49,38 +46,12 @@ type Options struct {
 	Epochs, Warmup int
 	// Seed seeds mix generation and arrivals.
 	Seed int64
-	// Parallel is the worker count for fanning independent experiment
-	// cells (mixes, sweep points, design runs) across cores. 0 (the
-	// default) uses one worker per CPU; 1 recovers the serial path.
-	// Results are bit-identical across worker counts.
-	Parallel int
-	// Sinks are the optional observability sinks (internal/obs), shared by
-	// every run the harness performs: all runs count into one registry,
-	// append to one decision log and provenance log, sample into one
-	// flight recorder, and render as stacked lanes in one trace. Parallel
-	// cells record into private sinks merged back in cell order, so the
-	// output does not depend on Parallel. Spans and Progress are
-	// concurrency-safe and shared by every cell; the publish hooks fire
-	// after each figure's cell merge, feeding the live endpoints. Nil (the
-	// default) disables each.
-	obs.Sinks
-	// Engine, when set, layers crash safety over every cell fan-out: the
-	// journal/resume protocol, keep-going failure isolation, per-cell
-	// watchdog deadlines, and single-cell repro mode (internal/sweep). Nil
-	// (the default) is the historical zero-overhead path.
-	Engine *sweep.Engine
-	// Chaos injects deterministic faults into the simulator runs inside
-	// each cell (internal/chaos); the cell-panic fault fires in the sweep
-	// layer via Engine.Chaos. Nil disables injection.
-	Chaos *chaos.Injector
-	// CheckInvariants turns on the per-epoch invariant suite inside every
-	// run (system.Config.CheckInvariants): placement capacity, MRC
-	// validity, finite CPI, controller bounds, reconfiguration liveness.
-	CheckInvariants bool
-	// Ctx, when non-nil, cancels in-flight runs (polled once per epoch).
-	// The sweep layer sets it per cell when a hard deadline is armed;
-	// library callers may install their own.
-	Ctx context.Context
+	// Env is the run's environment (sweep.Env), shared by every run the
+	// harness performs: all runs count into one registry, append to one
+	// decision log, sample into one flight recorder, and render as stacked
+	// lanes in one trace, and the publish hooks fire after each figure's
+	// cell merge.
+	sweep.Env
 }
 
 // QuickOptions keeps a full figure regeneration in the seconds range.
@@ -159,35 +130,29 @@ func loadLabel(high bool) string {
 }
 
 // runCells fans a figure's n independent cells across o.Parallel workers
-// through sweep.Cells. Each cell receives a copy of o whose observability
-// sinks are the cell's private ones (obs.Cell); after the pool drains, they
-// merge into o's sinks in cell-index order. Both the returned results
-// (indexed by cell) and the merged sinks are therefore identical for any
-// worker count. Live introspection rides along without touching
-// determinism: o.Spans and o.Progress are concurrency-safe and shared by all
-// workers as-is (each cell is timed under the "harness.cell" phase), and the
-// publish hooks fire once after the merge, when no worker holds the sinks
-// anymore.
+// through sweep.Cells. Each cell receives a copy of o whose Env is the
+// cell's (serial, private sinks); after the pool drains, the sinks merge
+// into o's in cell-index order. Both the returned results (indexed by cell)
+// and the merged sinks are therefore identical for any worker count. Live
+// introspection rides along without touching determinism: o.Spans and
+// o.Progress are concurrency-safe and shared by all workers as-is (each
+// cell is timed under the "harness.cell" phase), and the publish hooks fire
+// once after the merge, when no worker holds the sinks anymore.
 //
 // The label names this sweep in journal records, resume lookups, failure
 // reports, and -cell repro coordinates; it must be stable across runs and
 // unique per distinct cell grid. With o.Engine nil the sweep layer is the
 // historical zero-overhead fan-out. Invalid options fail here, before any
 // cell runs; every other error is sweep.Cells'.
-func runCells[T any](o Options, label string, n int, cell func(i int, co Options) T) ([]T, error) {
+func runCells[T any](o Options, label string, n int, run func(i int, co Options) T) ([]T, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return sweep.Cells(o.Engine, o.Sinks, label, o.Seed, o.Parallel, n,
-		func(i int, c *obs.Cell, ctx context.Context) T {
-			co := o
-			co.Parallel = 1 // cells never nest fan-out
-			co.Sinks = c.Sinks
-			if ctx != nil { // a nil ctx keeps any caller-installed o.Ctx
-				co.Ctx = ctx
-			}
-			return cell(i, co)
-		})
+	return sweep.Cells(o.Env, label, o.Seed, n, func(i int, cell sweep.Env) T {
+		co := o
+		co.Env = cell
+		return run(i, co)
+	})
 }
 
 // designs returns the four designs of the main comparison plus Static.

@@ -44,7 +44,8 @@ func TestParallelEquivalence(t *testing.T) {
 func TestParallelSinksEquivalence(t *testing.T) {
 	run := func(parallel int) (metrics, events, trace, ts string) {
 		var evBuf, trBuf bytes.Buffer
-		o := Options{Mixes: 2, Epochs: 10, Warmup: 3, Seed: 1, Parallel: parallel}
+		o := Options{Mixes: 2, Epochs: 10, Warmup: 3, Seed: 1}
+		o.Parallel = parallel
 		o.Metrics = obs.NewRegistry()
 		o.Events = obs.NewEventLog(&evBuf)
 		o.Trace = obs.NewTrace(&trBuf)

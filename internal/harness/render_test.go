@@ -15,7 +15,8 @@ import (
 func TestRenderDegradedSweepReturnsRunError(t *testing.T) {
 	o := tinyOptions()
 	o.Mixes = 3
-	o.Engine = &sweep.Engine{KeepGoing: true, Chaos: chaos.New(1).Pin(chaos.CellPanic, 2)}
+	o.Engine = &sweep.Engine{KeepGoing: true}
+	o.Chaos = chaos.New(1).Pin(chaos.CellPanic, 2)
 	var buf bytes.Buffer
 	err := Render(&buf, 12, o)
 	var rerr *sweep.RunError

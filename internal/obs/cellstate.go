@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"jumanji/internal/obs/tsdb"
 )
@@ -95,11 +96,17 @@ func (r *Registry) state() []MetricState {
 // CellFromState reconstructs a replayable Cell from a journalled snapshot.
 // The result merges through Sinks.Merge exactly like the original cell would
 // have; merging a sink the current run has disabled is naturally a no-op.
+// A journal is outside input, so a state no registry could have produced —
+// an unnamed or repeated metric, a histogram without finite bounds lo < hi —
+// is an error rather than a registry panic.
 func CellFromState(st CellState) (*Cell, error) {
 	c := &Cell{}
 	if len(st.Metrics) > 0 {
 		r := NewRegistry()
 		for _, m := range st.Metrics {
+			if _, dup := r.byName[m.Name]; dup || m.Name == "" {
+				return nil, fmt.Errorf("obs: cell state metric %q is unnamed or repeated", m.Name)
+			}
 			switch m.Kind {
 			case KindCounter:
 				r.Counter(m.Name).n = m.Count
@@ -107,7 +114,7 @@ func CellFromState(st CellState) (*Cell, error) {
 				g := r.Gauge(m.Name)
 				g.v, g.set = m.Value, m.Set
 			case KindHistogram:
-				if len(m.Bins) == 0 || m.Hi <= m.Lo {
+				if len(m.Bins) == 0 || !(m.Lo < m.Hi) || math.IsInf(m.Lo, 0) || math.IsInf(m.Hi, 0) {
 					return nil, fmt.Errorf("obs: cell state histogram %q has invalid shape", m.Name)
 				}
 				h := r.Histogram(m.Name, m.Lo, m.Hi, len(m.Bins))

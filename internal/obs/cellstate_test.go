@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"testing"
 	"time"
 
@@ -192,6 +193,21 @@ func TestCellStateRejectsCorruptMetrics(t *testing.T) {
 	}
 	if _, err := CellFromState(CellState{Metrics: []MetricState{{Name: "x", Kind: Kind(99)}}}); err == nil {
 		t.Fatal("unknown metric kind must be rejected")
+	}
+	// States no registry produces: each would panic the registry's
+	// constructors, or a later Merge, instead of returning an error.
+	for name, ms := range map[string][]MetricState{
+		"empty name":         {{Kind: KindCounter}},
+		"counter then gauge": {{Name: "x", Kind: KindCounter}, {Name: "x", Kind: KindGauge}},
+		"repeated counter":   {{Name: "x", Kind: KindCounter}, {Name: "x", Kind: KindCounter}},
+		"NaN bounds":         {{Name: "h", Kind: KindHistogram, Lo: math.NaN(), Hi: math.NaN(), Bins: []uint64{1}}},
+		"NaN low bound":      {{Name: "h", Kind: KindHistogram, Lo: math.NaN(), Hi: 1, Bins: []uint64{1}}},
+		"infinite bound":     {{Name: "h", Kind: KindHistogram, Lo: 0, Hi: math.Inf(1), Bins: []uint64{1}}},
+		"reversed bounds":    {{Name: "h", Kind: KindHistogram, Lo: 1, Hi: 0, Bins: []uint64{1}}},
+	} {
+		if _, err := CellFromState(CellState{Metrics: ms}); err == nil {
+			t.Errorf("%s: state accepted", name)
+		}
 	}
 	if _, err := CellFromState(CellState{Trace: []byte("not json")}); err == nil {
 		t.Fatal("corrupt trace bytes must be rejected")

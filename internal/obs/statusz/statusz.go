@@ -291,7 +291,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 type CLI struct {
 	Addr       string // -status
 	ProgressOn bool   // -progress
-	Every      time.Duration
 
 	tracker parallel.Progress
 	server  *Server
@@ -333,20 +332,19 @@ func (c *CLI) Start(info Info, spans *obs.Spans) error {
 		fmt.Fprintf(os.Stderr, "status server listening on http://%s/statusz\n", srv.Addr())
 	}
 	if c.ProgressOn {
-		every := c.Every
-		if every <= 0 {
-			every = 2 * time.Second
-		}
 		c.stop = make(chan struct{})
 		c.wg.Add(1)
-		go c.report(every)
+		go c.report()
 	}
 	return nil
 }
 
-func (c *CLI) report(every time.Duration) {
+// progressEvery is the -progress reporter's period.
+const progressEvery = 2 * time.Second
+
+func (c *CLI) report() {
 	defer c.wg.Done()
-	tick := time.NewTicker(every)
+	tick := time.NewTicker(progressEvery)
 	defer tick.Stop()
 	for {
 		select {

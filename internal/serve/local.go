@@ -79,7 +79,7 @@ func Main(name string, args []string, flags Flags) int {
 	}
 
 	// From here on every exit flushes the journal and the sinks.
-	env := Env{Check: resil.Check, Parallel: *parallel, Sinks: sinks.Sinks()}
+	env := sweep.Env{CheckInvariants: resil.Check, Parallel: *parallel, Sinks: sinks.Sinks()}
 	env.Progress = status.Tracker()
 	cur := 0 // the spec now running, for repro lines
 	repro := func(label string, cell int) string { return runners[cur].repro(&specs[cur], label, cell) }

@@ -11,29 +11,15 @@ import (
 	"sync"
 
 	"jumanji"
-	"jumanji/internal/chaos"
 	"jumanji/internal/harness"
-	"jumanji/internal/obs"
 	"jumanji/internal/sweep"
 )
 
-// Env is what a runner gets from its caller, the daemon or a command line:
-// the crash-safety engine wired to the run's journal, the simulator fault
-// injector, the invariant suite switch, the cell worker count, and the
-// observability sinks (the daemon passes only Progress, which feeds the
-// experiment's SSE stream). Runners thread all of it into the sweep layer
-// so journaling, resume, keep-going isolation, chaos, and progress apply.
-type Env struct {
-	Engine   *sweep.Engine
-	Chaos    *chaos.Injector
-	Check    bool // per-epoch invariant suite inside every run
-	Parallel int  // cell workers: 0 is one per CPU; the daemon runs 1
-	obs.Sinks
-}
-
 // Runner is one registered experiment type. Validate normalizes a spec in
 // place (filling defaults) and rejects impossible ones; Run executes the
-// normalized spec and returns the result bytes — the exact text the
+// normalized spec in its caller's run environment (the daemon's engine is
+// wired to the experiment's journal, and its only sink is Progress, which
+// feeds the SSE stream) and returns the result bytes — the exact text the
 // equivalent command-line run prints. Repro renders a command that re-runs
 // one failed cell in isolation, for degraded-run reports, or "" when no
 // command line expresses the spec.
@@ -44,7 +30,7 @@ type Runner struct {
 	Name        string
 	Description string
 	Validate    func(sp *Spec) error
-	Run         func(sp *Spec, env Env) ([]byte, error)
+	Run         func(sp *Spec, env sweep.Env) ([]byte, error)
 	Repro       func(sp *Spec, label string, cell int) string
 }
 
@@ -176,10 +162,10 @@ func compareRunner() *Runner {
 			}
 			// Building the workload runs jumanji's own option checks and the
 			// workload's: the LC app, the VM split, the fleet's fit.
-			_, err := compareWorkload(sp)(compareOptions(sp, Env{}))
+			_, err := compareWorkload(sp)(compareOptions(sp, sweep.Env{}))
 			return err
 		},
-		Run: func(sp *Spec, env Env) ([]byte, error) {
+		Run: func(sp *Spec, env sweep.Env) ([]byte, error) {
 			designs, err := compareDesigns(sp)
 			if err != nil {
 				return nil, err
@@ -225,16 +211,14 @@ func compareDesigns(sp *Spec) ([]jumanji.Design, error) {
 
 // compareOptions maps a normalized compare spec onto the simulator's
 // options.
-func compareOptions(sp *Spec, env Env) jumanji.Options {
+func compareOptions(sp *Spec, env sweep.Env) jumanji.Options {
 	o := jumanji.DefaultOptions()
 	o.MeshW, o.MeshH, _ = parseDims(sp.Mesh)
 	o.ShardRegionW, o.ShardRegionH, _ = parseDims(sp.Shard)
 	o.RouterDelay = sp.Router
 	o.HighLoad = sp.Load != "low"
 	o.Epochs, o.Warmup, o.Seed = sp.Epochs, sp.Warmup, sp.Seed
-	o.Parallel = env.Parallel
-	o.Sinks = env.Sinks
-	o.Engine, o.Chaos, o.CheckInvariants = env.Engine, env.Chaos, env.Check
+	o.Env = env
 	return o
 }
 
@@ -338,9 +322,9 @@ func harnessRunner(kind string) *Runner {
 			if err := normDims(&sp.Mesh); err != nil {
 				return fmt.Errorf("mesh: %w", err)
 			}
-			return harnessOptions(sp, Env{}).Validate()
+			return harnessOptions(sp, sweep.Env{}).Validate()
 		},
-		Run: func(sp *Spec, env Env) ([]byte, error) {
+		Run: func(sp *Spec, env sweep.Env) ([]byte, error) {
 			render := harness.Render
 			switch {
 			case table:
@@ -376,12 +360,8 @@ func harnessRunner(kind string) *Runner {
 
 // harnessOptions maps a normalized figure or table spec onto the harness's
 // options.
-func harnessOptions(sp *Spec, env Env) harness.Options {
-	o := harness.Options{
-		Mixes: sp.Mixes, Epochs: sp.Epochs, Warmup: sp.Warmup, Seed: sp.Seed,
-		Parallel: env.Parallel, Sinks: env.Sinks,
-		Engine: env.Engine, Chaos: env.Chaos, CheckInvariants: env.Check,
-	}
+func harnessOptions(sp *Spec, env sweep.Env) harness.Options {
+	o := harness.Options{Mixes: sp.Mixes, Epochs: sp.Epochs, Warmup: sp.Warmup, Seed: sp.Seed, Env: env}
 	o.MeshW, o.MeshH, _ = parseDims(sp.Mesh)
 	return o
 }

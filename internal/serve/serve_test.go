@@ -203,7 +203,7 @@ func blockingRegistry(t *testing.T) (*Registry, chan struct{}) {
 	err := reg.Register(&Runner{
 		Name:     "block",
 		Validate: func(sp *Spec) error { return nil },
-		Run: func(sp *Spec, env Env) ([]byte, error) {
+		Run: func(sp *Spec, env sweep.Env) ([]byte, error) {
 			for {
 				select {
 				case <-release:
@@ -284,7 +284,7 @@ func flakyRegistry(t *testing.T, failN int32) *Registry {
 	err := reg.Register(&Runner{
 		Name:     "flaky",
 		Validate: func(sp *Spec) error { return nil },
-		Run: func(sp *Spec, env Env) ([]byte, error) {
+		Run: func(sp *Spec, env sweep.Env) ([]byte, error) {
 			if calls.Add(1) <= failN {
 				return nil, &sweep.RunError{Report: sweep.Report{Failed: []sweep.FailedCell{
 					{Label: "flaky", Cell: 0, Seed: sp.Seed, Value: "transient"},

@@ -8,6 +8,7 @@ import (
 
 	"jumanji/internal/obs"
 	"jumanji/internal/obs/tsdb"
+	"jumanji/internal/sweep"
 )
 
 // TestFingerprintExcludesClient: who submitted must not change the
@@ -195,7 +196,7 @@ func TestRegistryRegister(t *testing.T) {
 		}
 	}
 	if err := reg.Register(&Runner{Name: "compare", Validate: func(*Spec) error { return nil },
-		Run: func(*Spec, Env) ([]byte, error) { return nil, nil }}); err == nil {
+		Run: func(*Spec, sweep.Env) ([]byte, error) { return nil, nil }}); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	if err := reg.Register(&Runner{}); err == nil {

@@ -142,8 +142,7 @@ func (s *Server) runOnce(rn *Runner, e *Experiment, attempt int) (out []byte, re
 
 	eng := &sweep.Engine{
 		Journal: w, Resume: resume, KeepGoing: true, Stop: s.stop,
-		Soft: s.cfg.SoftTimeout, Hard: s.cfg.HardTimeout,
-		Chaos: s.cfg.Chaos, Log: s.cfg.Log,
+		Soft: s.cfg.SoftTimeout, Hard: s.cfg.HardTimeout, Log: s.cfg.Log,
 		Repro: func(label string, cell int) string { return rn.repro(e.Spec, label, cell) },
 	}
 	func() {
@@ -158,7 +157,7 @@ func (s *Server) runOnce(rn *Runner, e *Experiment, attempt int) (out []byte, re
 			panic(fmt.Sprintf("chaos: injected panic in serve worker (%s attempt %d)", e.ID, attempt+1))
 		}
 		// Serial cells: deterministic journal record order.
-		out, err = rn.Run(e.Spec, Env{
+		out, err = rn.Run(e.Spec, sweep.Env{
 			Engine: eng, Chaos: s.cfg.Chaos, Parallel: 1, Sinks: obs.Sinks{Progress: e.progress},
 		})
 	}()

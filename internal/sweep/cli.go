@@ -49,11 +49,12 @@ func (c *CLI) Enabled() bool {
 		c.Soft > 0 || c.Hard > 0 || c.ChaosSpec != ""
 }
 
-// Build validates the flags and constructs the Engine plus the simulator
-// fault injector (nil when -chaos is unset). fingerprint must encode every
-// option that affects cell identity — protocol scale, seed, and which sinks
-// are enabled — so a resume against a journal from a different
-// configuration is refused instead of silently merging foreign results.
+// Build validates the flags and constructs the Engine plus the fault
+// injector for Env.Chaos (nil when -chaos is unset). fingerprint must
+// encode every option that affects cell identity — protocol scale, seed,
+// and which sinks are enabled — so a resume against a journal from a
+// different configuration is refused instead of silently merging foreign
+// results.
 // repro renders the command line that re-runs one cell (used in failure
 // reports); seed seeds the chaos injector.
 func (c *CLI) Build(seed int64, fingerprint string, repro func(label string, cell int) string) (*Engine, *chaos.Injector, error) {
@@ -72,7 +73,6 @@ func (c *CLI) Build(seed int64, fingerprint string, repro func(label string, cel
 		Stop:      &parallel.Stopper{},
 		Soft:      c.Soft,
 		Hard:      c.Hard,
-		Chaos:     inj,
 		Log:       os.Stderr,
 		Repro:     repro,
 	}

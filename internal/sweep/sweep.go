@@ -4,6 +4,10 @@
 // resume, keep-going failure isolation, watchdogs, and fault injection over
 // internal/parallel's worker pool.
 //
+// A run declares its environment once, as an Env: the engine, the worker
+// count, the fault injector, the invariant switch, the cancellation context,
+// and the observability sinks. Cells hands each cell its own copy of it.
+//
 // The layering is strictly pay-for-what-you-use: with a nil *Engine, Cells is
 // exactly the fan-out the harness has always run — parallel.Map over private
 // obs cells merged in index order — with zero added allocations per cell
@@ -166,11 +170,8 @@ type Engine struct {
 	Stop *parallel.Stopper
 	// Soft and Hard are per-cell wall-clock deadlines: Soft logs a stuck
 	// cell (with its active phase spans), Hard cancels it via the context
-	// passed to the cell job. Zero disables each.
+	// in the cell's Env. Zero disables each.
 	Soft, Hard time.Duration
-	// Chaos injects the "panic-cell" fault at this layer; simulator-level
-	// faults ride into cells through the run callback's own config.
-	Chaos *chaos.Injector
 	// Log receives watchdog and journal-degradation diagnostics (stderr in
 	// the commands). Nil discards them.
 	Log io.Writer
@@ -213,12 +214,47 @@ func (e *Engine) repro(label string, cell int) string {
 	return e.Repro(label, cell)
 }
 
-// Cells fans run(0..n-1) across workers with the engine's crash-safety
-// layers. Each cell receives a private obs cell (s.Cell) and, when a hard
-// deadline is armed, a context that the watchdog cancels; the context is nil
-// otherwise, costing nothing. The cells merge into s in cell-index order
-// (s.Merge, which also fires s's publish hooks), and the results return in
-// the same order.
+// Env is a run's environment, declared once: jumanji.Options and
+// harness.Options embed it, the serve runners take it, and Cells gives each
+// cell its own copy. system.Config keeps its own Chaos, CheckInvariants,
+// Ctx, and Sinks, which the options' config builders copy from an Env.
+type Env struct {
+	// Engine layers crash safety over every fan-out: journal and resume,
+	// keep-going failure isolation, watchdogs, and single-cell repro. Nil
+	// is the zero-overhead path.
+	Engine *Engine
+	// Parallel is the cell worker count: 0 is one per CPU, 1 is serial.
+	// Results and every sink's bytes are identical at any count.
+	Parallel int
+	// Chaos injects deterministic faults (internal/chaos): the simulator's
+	// into every run, "panic-cell" into an Engine's cells. Nil disables it.
+	Chaos *chaos.Injector
+	// CheckInvariants turns on the per-epoch invariant suite in every run.
+	CheckInvariants bool
+	// Ctx, when non-nil, cancels in-flight runs (polled once per epoch).
+	Ctx context.Context
+	// Sinks are the optional observability sinks (internal/obs).
+	obs.Sinks
+}
+
+// cell is the environment of one cell of env's fan-out: serial, recording
+// into c's private sinks, and canceled through ctx when the watchdog armed
+// one.
+func (env Env) cell(c *obs.Cell, ctx context.Context) Env {
+	env.Parallel = 1 // cells never nest fan-out
+	env.Sinks = c.Sinks
+	if ctx != nil {
+		env.Ctx = ctx
+	}
+	return env
+}
+
+// Cells fans run(0..n-1) across env.Parallel workers with env.Engine's
+// crash-safety layers. Each cell runs in its own copy of env (Env.cell):
+// Parallel 1, private obs sinks (Sinks.Cell), and, when a hard deadline is
+// armed, a context that the watchdog cancels; otherwise env.Ctx. The cells
+// merge into env's sinks in cell-index order (Sinks.Merge, which also fires
+// the publish hooks), and the results return in the same order.
 //
 // The error is a *RunError when cells failed or were skipped, an *OnlyDone
 // after single-cell repro mode ran its cell, or a plain error for an
@@ -226,50 +262,49 @@ func (e *Engine) repro(label string, cell int) string {
 // only meaningful without one. A cell job's panic stays a panic on the
 // nil-Engine path and in single-cell repro; an Engine's full sweep isolates
 // it into the RunError's report.
-func Cells[T any](e *Engine, s obs.Sinks, label string, seed int64, workers, n int,
-	run func(i int, c *obs.Cell, ctx context.Context) T) ([]T, error) {
-	if e == nil {
-		return cellsFast(s, workers, n, run)
+func Cells[T any](env Env, label string, seed int64, n int, run func(i int, cell Env) T) ([]T, error) {
+	switch e := env.Engine; {
+	case e == nil:
+		return cellsFast(env, n, run)
+	case e.Only != nil && e.Only.Label == label:
+		return cellsOnly(env, label, n, run)
 	}
-	if e.Only != nil && e.Only.Label == label {
-		return cellsOnly(e, s, label, n, run)
-	}
-	return cellsFull(e, s, label, seed, workers, n, run)
+	return cellsFull(env, label, seed, n, run)
 }
 
 // cellsFast is the historical harness fan-out, byte for byte: no journal, no
-// recovery, no per-cell context. Kept as its own function so the disabled
+// recovery, no watchdog context. Kept as its own function so the disabled
 // path adds zero allocations per cell by construction.
-func cellsFast[T any](s obs.Sinks, workers, n int, run func(i int, c *obs.Cell, ctx context.Context) T) ([]T, error) {
-	s.Progress.Begin(n, parallel.Workers(min(workers, n)))
+func cellsFast[T any](env Env, n int, run func(i int, cell Env) T) ([]T, error) {
+	env.Progress.Begin(n, parallel.Workers(min(env.Parallel, n)))
 	cells := make([]*obs.Cell, n)
-	out := parallel.Map(workers, n, func(i int) T {
+	out := parallel.Map(env.Parallel, n, func(i int) T {
 		t0 := time.Now()
-		cells[i] = s.Cell()
-		res := run(i, cells[i], nil)
+		cells[i] = env.Sinks.Cell()
+		res := run(i, env.cell(cells[i], nil))
 		d := time.Since(t0)
-		s.Spans.Record("harness.cell", t0, d)
-		s.Progress.CellDone(d)
+		env.Spans.Record("harness.cell", t0, d)
+		env.Progress.CellDone(d)
 		return res
 	})
-	return out, mergeCells(s, cells)
+	return out, mergeCells(env.Sinks, cells)
 }
 
 // cellsOnly runs the single cell named by Engine.Only, serially and without
 // journaling (it is a repro mode), then returns *OnlyDone so the figure's
 // aggregation never sees the other cells' zero values.
-func cellsOnly[T any](e *Engine, s obs.Sinks, label string, n int, run func(i int, c *obs.Cell, ctx context.Context) T) ([]T, error) {
-	i := e.Only.Cell
+func cellsOnly[T any](env Env, label string, n int, run func(i int, cell Env) T) ([]T, error) {
+	i, s := env.Engine.Only.Cell, env.Sinks
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("sweep: cell %s:%d out of range (sweep %q has %d cells)", label, i, label, n)
 	}
 	s.Progress.Begin(1, 1)
 	c := s.Cell()
-	if e.Chaos.Fires(chaos.CellPanic, int64(i), labelKey(label)) {
+	if env.Chaos.Fires(chaos.CellPanic, int64(i), labelKey(label)) {
 		panic(fmt.Sprintf("chaos: injected panic in cell %s:%d", label, i))
 	}
 	t0 := time.Now()
-	run(i, c, nil)
+	run(i, env.cell(c, nil))
 	d := time.Since(t0)
 	s.Spans.Record("harness.cell", t0, d)
 	s.Progress.CellDone(d)
@@ -281,9 +316,9 @@ func cellsOnly[T any](e *Engine, s obs.Sinks, label string, n int, run func(i in
 
 // cellsFull is the engine path: resume, journal, chaos, watchdog, and
 // failure isolation around each cell.
-func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers, n int,
-	run func(i int, c *obs.Cell, ctx context.Context) T) ([]T, error) {
-	s.Progress.Begin(n, parallel.Workers(min(workers, n)))
+func cellsFull[T any](env Env, label string, seed int64, n int, run func(i int, cell Env) T) ([]T, error) {
+	e, s := env.Engine, env.Sinks
+	s.Progress.Begin(n, parallel.Workers(min(env.Parallel, n)))
 
 	var wd *parallel.Watchdog
 	if e.Soft > 0 || e.Hard > 0 {
@@ -329,7 +364,7 @@ func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers,
 		})
 	}
 	var nJournalErrs atomic.Int64
-	out, failures, skipped := parallel.MapRecover(workers, n, e.Stop, !e.KeepGoing, func(i int) T {
+	out, failures, skipped := parallel.MapRecover(env.Parallel, n, e.Stop, !e.KeepGoing, func(i int) T {
 		t0 := time.Now()
 		if payload, ok := e.Resume.Get(label, i, seed); ok {
 			res, c, err := decodeCell[T](payload)
@@ -343,7 +378,7 @@ func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers,
 			}
 			e.logf("sweep: journalled cell %s:%d unusable (%v); re-running", label, i, err)
 		}
-		if e.Chaos.Fires(chaos.CellPanic, int64(i), labelKey(label)) {
+		if env.Chaos.Fires(chaos.CellPanic, int64(i), labelKey(label)) {
 			panic(fmt.Sprintf("chaos: injected panic in cell %s:%d", label, i))
 		}
 		var (
@@ -361,7 +396,7 @@ func cellsFull[T any](e *Engine, s obs.Sinks, label string, seed int64, workers,
 			end = wd.Begin(i, nil)
 		}
 		cells[i] = s.Cell()
-		res := run(i, cells[i], ctx)
+		res := run(i, env.cell(cells[i], ctx))
 		end()
 		if e.Journal != nil {
 			if payload, err := encodeCell(res, cells[i]); err != nil {

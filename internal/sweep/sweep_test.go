@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -30,7 +29,7 @@ const nCells = 6
 
 // runCell writes a deterministic signature into every sink, so byte
 // comparison of the merged output catches any replay infidelity.
-func runCell(i int, c *obs.Cell, _ context.Context) cellRes {
+func runCell(i int, c Env) cellRes {
 	c.Metrics.Counter("cells.done").Add(1)
 	c.Metrics.Histogram("cells.val", 0, 10, 4).Observe(float64(i))
 	c.Events.EmitRunEnd(obs.RunEnd{Design: fmt.Sprintf("cell-%d", i), WorstNormTail: float64(i) / 2})
@@ -43,10 +42,17 @@ func runCell(i int, c *obs.Cell, _ context.Context) cellRes {
 // returning the *RunError if the sweep degrades.
 func runSweep(t *testing.T, e *Engine, workers int) (out []cellRes, metrics, events, trace string, rerr *RunError) {
 	t.Helper()
+	return runSweepEnv(t, Env{Engine: e}, workers)
+}
+
+// runSweepEnv is runSweep under env's Engine and Chaos.
+func runSweepEnv(t *testing.T, env Env, workers int) (out []cellRes, metrics, events, trace string, rerr *RunError) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	var evBuf, trBuf bytes.Buffer
-	s := obs.Sinks{Metrics: reg, Events: obs.NewEventLog(&evBuf), Trace: obs.NewTrace(&trBuf)}
-	out, err := Cells(e, s, "lab", 42, workers, nCells, runCell)
+	env.Parallel = workers
+	env.Sinks = obs.Sinks{Metrics: reg, Events: obs.NewEventLog(&evBuf), Trace: obs.NewTrace(&trBuf)}
+	out, err := Cells(env, "lab", 42, nCells, runCell)
 	if err != nil && !errors.As(err, &rerr) {
 		t.Fatal(err)
 	}
@@ -54,7 +60,7 @@ func runSweep(t *testing.T, e *Engine, workers int) (out []cellRes, metrics, eve
 	if err := reg.WriteText(&mb); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Trace.Close(); err != nil {
+	if err := env.Trace.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return out, mb.String(), evBuf.String(), trBuf.String(), rerr
@@ -90,9 +96,8 @@ func TestResumeByteIdentical(t *testing.T) {
 	e := &Engine{
 		Journal:   w,
 		KeepGoing: true,
-		Chaos:     chaos.New(1).Pin(chaos.CellPanic, 3),
 	}
-	_, _, _, _, rerr = runSweep(t, e, 4)
+	_, _, _, _, rerr = runSweepEnv(t, Env{Engine: e, Chaos: chaos.New(1).Pin(chaos.CellPanic, 3)}, 4)
 	if rerr == nil || len(rerr.Report.Failed) != 1 || rerr.Report.Failed[0].Cell != 3 {
 		t.Fatalf("interrupted run: %+v", rerr)
 	}
@@ -184,12 +189,11 @@ func TestEngineCleanRunMatchesFastPath(t *testing.T) {
 func TestKeepGoingReport(t *testing.T) {
 	e := &Engine{
 		KeepGoing: true,
-		Chaos:     chaos.New(1).Pin(chaos.CellPanic, 2),
 		Repro: func(label string, cell int) string {
 			return fmt.Sprintf("figures -cell %s:%d -seed 42", label, cell)
 		},
 	}
-	_, m, _, _, rerr := runSweep(t, e, 3)
+	_, m, _, _, rerr := runSweepEnv(t, Env{Engine: e, Chaos: chaos.New(1).Pin(chaos.CellPanic, 2)}, 3)
 	if rerr == nil {
 		t.Fatal("degraded run returned cleanly")
 	}
@@ -229,8 +233,8 @@ func TestKeepGoingReport(t *testing.T) {
 // Without keep-going a failure still drains gracefully: later cells are
 // skipped (not zero-filled silently) and the report says which.
 func TestFailFastSkips(t *testing.T) {
-	e := &Engine{Chaos: chaos.New(1).Pin(chaos.CellPanic, 1)}
-	_, m, _, _, rerr := runSweep(t, e, 1)
+	e := &Engine{}
+	_, m, _, _, rerr := runSweepEnv(t, Env{Engine: e, Chaos: chaos.New(1).Pin(chaos.CellPanic, 1)}, 1)
 	if rerr == nil {
 		t.Fatal("degraded run returned cleanly")
 	}
@@ -270,13 +274,14 @@ func TestOnlyMode(t *testing.T) {
 	reg := obs.NewRegistry()
 	var evBuf bytes.Buffer
 	s := obs.Sinks{Metrics: reg, Events: obs.NewEventLog(&evBuf), Trace: obs.NewTrace(nil)}
+	env := Env{Engine: e, Parallel: 1, Sinks: s}
 
-	out, err := Cells(e, s, "other", 42, 1, 3, runCell)
+	out, err := Cells(env, "other", 42, 3, runCell)
 	if err != nil || len(out) != 3 || out[2].ID != 2 {
 		t.Fatalf("non-target label did not run fully: %+v, %v", out, err)
 	}
 
-	_, err = Cells(e, s, "lab", 42, 1, nCells, runCell)
+	_, err = Cells(env, "lab", 42, nCells, runCell)
 	var done *OnlyDone
 	if !errors.As(err, &done) {
 		t.Fatalf("err = %v, want *OnlyDone", err)
@@ -289,7 +294,7 @@ func TestOnlyMode(t *testing.T) {
 	}
 
 	e.Only = &CellRef{Label: "lab", Cell: nCells}
-	_, err = Cells(e, s, "lab", 42, 1, nCells, runCell)
+	_, err = Cells(env, "lab", 42, nCells, runCell)
 	if err == nil || errors.As(err, &done) {
 		t.Fatalf("out-of-range cell: err = %v, want a non-OnlyDone error", err)
 	}
@@ -321,8 +326,7 @@ func TestParseCellRef(t *testing.T) {
 func TestWatchdogSoftLogs(t *testing.T) {
 	var logBuf bytes.Buffer
 	e := &Engine{Soft: 20 * time.Millisecond, Log: &logBuf, KeepGoing: true}
-	s := obs.Sinks{}
-	out, err := Cells(e, s, "slow", 1, 2, 2, func(i int, c *obs.Cell, _ context.Context) int {
+	out, err := Cells(Env{Engine: e, Parallel: 2}, "slow", 1, 2, func(i int, _ Env) int {
 		if i == 0 {
 			time.Sleep(120 * time.Millisecond)
 		}
@@ -346,11 +350,11 @@ func TestWatchdogHardCancels(t *testing.T) {
 	var logBuf bytes.Buffer
 	e := &Engine{Hard: 30 * time.Millisecond, Log: &logBuf, KeepGoing: true}
 	t0 := time.Now()
-	_, err := Cells(e, obs.Sinks{}, "wedge", 1, 2, 2, func(i int, c *obs.Cell, ctx context.Context) int {
+	_, err := Cells(Env{Engine: e, Parallel: 2}, "wedge", 1, 2, func(i int, c Env) int {
 		if i == 0 {
 			select {
-			case <-ctx.Done():
-				panic(fmt.Sprintf("canceled: %v", ctx.Err()))
+			case <-c.Ctx.Done():
+				panic(fmt.Sprintf("canceled: %v", c.Ctx.Err()))
 			case <-time.After(10 * time.Second):
 			}
 		}
@@ -369,23 +373,33 @@ func TestWatchdogHardCancels(t *testing.T) {
 	}
 }
 
+// inlineCells is the bare fan-out the disabled path replaced: private sinks
+// and a serial copy of env per cell, merged in cell order.
+func inlineCells(env Env, n int, run func(i int, cell Env) int) error {
+	cells := make([]*obs.Cell, n)
+	parallel.Map(env.Parallel, n, func(i int) int {
+		cells[i] = env.Sinks.Cell()
+		cell := env
+		cell.Parallel = 1
+		cell.Sinks = cells[i].Sinks
+		return run(i, cell)
+	})
+	return env.Sinks.Merge(cells)
+}
+
 // The disabled path must cost exactly what the historical inline fan-out
 // cost: zero added allocations per cell.
 func TestSweepAllocGuard(t *testing.T) {
-	run := func(i int, c *obs.Cell, _ context.Context) int { return i }
+	run := func(i int, _ Env) int { return i }
 	const n = 64
+	env := Env{Parallel: 1}
 	baseline := testing.AllocsPerRun(20, func() {
-		cells := make([]*obs.Cell, n)
-		parallel.Map(1, n, func(i int) int {
-			cells[i] = obs.Sinks{}.Cell()
-			return run(i, cells[i], nil)
-		})
-		if err := (obs.Sinks{}).Merge(cells); err != nil {
+		if err := inlineCells(env, n, run); err != nil {
 			t.Fatal(err)
 		}
 	})
 	got := testing.AllocsPerRun(20, func() {
-		Cells(nil, obs.Sinks{}, "bench", 1, 1, n, run)
+		Cells(env, "bench", 1, n, run)
 	})
 	if got > baseline {
 		t.Fatalf("disabled sweep path allocates %.0f/run, inline fan-out %.0f/run", got, baseline)
@@ -396,17 +410,13 @@ func TestSweepAllocGuard(t *testing.T) {
 // by cmd/benchdiff in CI): the sweep layer's disabled path versus the bare
 // inline fan-out it replaced, allocations pinned equal.
 func BenchmarkSweepOverhead(b *testing.B) {
-	run := func(i int, c *obs.Cell, _ context.Context) int { return i }
+	run := func(i int, _ Env) int { return i }
 	const n = 64
+	env := Env{Parallel: 1}
 	b.Run("baseline", func(b *testing.B) {
 		b.ReportAllocs()
 		for k := 0; k < b.N; k++ {
-			cells := make([]*obs.Cell, n)
-			parallel.Map(1, n, func(i int) int {
-				cells[i] = obs.Sinks{}.Cell()
-				return run(i, cells[i], nil)
-			})
-			if err := (obs.Sinks{}).Merge(cells); err != nil {
+			if err := inlineCells(env, n, run); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -414,7 +424,7 @@ func BenchmarkSweepOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		b.ReportAllocs()
 		for k := 0; k < b.N; k++ {
-			Cells(nil, obs.Sinks{}, "bench", 1, 1, n, run)
+			Cells(env, "bench", 1, n, run)
 		}
 	})
 }

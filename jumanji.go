@@ -21,15 +21,12 @@
 package jumanji
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 
-	"jumanji/internal/chaos"
 	"jumanji/internal/core"
-	"jumanji/internal/obs"
 	"jumanji/internal/sim"
 	"jumanji/internal/sweep"
 	"jumanji/internal/system"
@@ -176,37 +173,15 @@ type Options struct {
 	Epochs, Warmup int
 	// Seed drives workload randomness; equal seeds reproduce runs exactly.
 	Seed int64
-	// Parallel is the worker count for fanning independent runs (Compare's
-	// designs, TailVsAllocation's sweep points) across cores. 0 (the
-	// default) uses one worker per CPU; 1 recovers the serial path. Results
-	// — including everything recorded into the deterministic sinks — are
-	// bit-identical across worker counts.
-	Parallel int
-	// Sinks are the optional observability sinks (internal/obs): the
-	// metrics registry, the JSONL decision log, the Chrome trace exporter,
-	// the flight-recorder time-series store, and the placement-provenance
-	// log, plus wall-clock Spans, a live Progress counter, and publish hooks
-	// for live endpoints. All nil by default; set them by name
-	// (opts.Metrics = reg). Runs sharing one Trace (e.g. Compare) render as
-	// stacked per-design lanes. See the "Observability" section of
-	// README.md.
-	obs.Sinks
-	// Engine, when set, layers crash safety over Compare's and
-	// TailVsAllocation's fan-outs (internal/sweep): a fsync'd journal of
-	// completed cells, resume from a prior journal, keep-going failure
-	// isolation, and per-cell watchdog deadlines. A degraded run surfaces
-	// as a *sweep.RunError return. Nil is the historical zero-overhead
-	// path.
-	Engine *sweep.Engine
-	// Chaos injects deterministic simulator faults (internal/chaos) into
-	// every run; pair with CheckInvariants to verify they are caught.
-	Chaos *chaos.Injector
-	// CheckInvariants enables the per-epoch invariant suite inside runs:
-	// MRC validity, placement capacity, finite CPI, controller bounds, and
-	// reconfiguration liveness, each panicking a *system.InvariantError.
-	CheckInvariants bool
-	// Ctx, when non-nil, cancels in-flight runs (polled once per epoch).
-	Ctx context.Context
+	// Env is the run's environment (sweep.Env); set its fields by name.
+	// Parallel fans Compare's designs and TailVsAllocation's points across
+	// workers (0: one per CPU, 1: serial; results are identical). The
+	// observability sinks (opts.Metrics = reg) are nil by default; runs
+	// sharing one Trace render as stacked per-design lanes (README.md's
+	// "Observability"). Engine adds crash safety, a degraded run returning
+	// a *sweep.RunError; Chaos injects faults, CheckInvariants checks every
+	// epoch, and Ctx cancels in-flight runs.
+	sweep.Env
 }
 
 // DefaultOptions returns the paper's configuration with a run length that
@@ -321,37 +296,32 @@ func NewWorkload(opts Options, vms []VM, seed int64) (Workload, error) {
 	return Workload{inner: wl}, nil
 }
 
-// CaseStudy builds the Sec. III case study: four VMs, each with one
-// instance of the named latency-critical application and four random batch
-// applications. The load level comes from Options at run time.
-func CaseStudy(latCrit string, seed int64) func(Options) (Workload, error) {
+// seeded wraps a system workload constructor as a workload builder: it
+// validates the options, seeds an RNG, and builds on the options' machine
+// at their load level.
+func seeded(seed int64, build func(m core.Machine, rng *rand.Rand, high bool) (system.Workload, error)) func(Options) (Workload, error) {
 	return func(opts Options) (Workload, error) {
 		if err := opts.validate(); err != nil {
 			return Workload{}, err
 		}
-		rng := rand.New(rand.NewSource(seed))
-		wl, err := system.CaseStudyWorkload(opts.systemConfig().Machine, latCrit, rng, opts.HighLoad)
-		if err != nil {
-			return Workload{}, err
-		}
-		return Workload{inner: wl}, nil
+		wl, err := build(opts.systemConfig().Machine, rand.New(rand.NewSource(seed)), opts.HighLoad)
+		return Workload{inner: wl}, err
 	}
+}
+
+// CaseStudy builds the Sec. III case study: four VMs, each with one
+// instance of the named latency-critical application and four random batch
+// applications. The load level comes from Options at run time.
+func CaseStudy(latCrit string, seed int64) func(Options) (Workload, error) {
+	return seeded(seed, func(m core.Machine, rng *rand.Rand, high bool) (system.Workload, error) {
+		return system.CaseStudyWorkload(m, latCrit, rng, high)
+	})
 }
 
 // MixedCaseStudy builds the Fig. 13 "Mixed" configuration: four VMs with
 // four different latency-critical applications.
 func MixedCaseStudy(seed int64) func(Options) (Workload, error) {
-	return func(opts Options) (Workload, error) {
-		if err := opts.validate(); err != nil {
-			return Workload{}, err
-		}
-		rng := rand.New(rand.NewSource(seed))
-		wl, err := system.MixedLCWorkload(opts.systemConfig().Machine, rng, opts.HighLoad)
-		if err != nil {
-			return Workload{}, err
-		}
-		return Workload{inner: wl}, nil
-	}
+	return seeded(seed, system.MixedLCWorkload)
 }
 
 // Datacenter builds the big-mesh scaling workload: one VM per ~9 tiles (at
@@ -360,33 +330,15 @@ func MixedCaseStudy(seed int64) func(Options) (Workload, error) {
 // machine this degenerates to the familiar 4-VM shape; on a 16×16 mesh it
 // fills the chip with 28 trust domains.
 func Datacenter(seed int64) func(Options) (Workload, error) {
-	return func(opts Options) (Workload, error) {
-		if err := opts.validate(); err != nil {
-			return Workload{}, err
-		}
-		rng := rand.New(rand.NewSource(seed))
-		wl, err := system.DatacenterWorkload(opts.systemConfig().Machine, rng, opts.HighLoad)
-		if err != nil {
-			return Workload{}, err
-		}
-		return Workload{inner: wl}, nil
-	}
+	return seeded(seed, system.DatacenterWorkload)
 }
 
 // Scaling builds the Fig. 17 VM-scaling configurations (1, 2, 4, 5, 10, or
 // 12 VMs over the same 20 applications).
 func Scaling(nVMs int, seed int64) func(Options) (Workload, error) {
-	return func(opts Options) (Workload, error) {
-		if err := opts.validate(); err != nil {
-			return Workload{}, err
-		}
-		rng := rand.New(rand.NewSource(seed))
-		wl, err := system.ScalingWorkload(opts.systemConfig().Machine, nVMs, rng, opts.HighLoad)
-		if err != nil {
-			return Workload{}, err
-		}
-		return Workload{inner: wl}, nil
-	}
+	return seeded(seed, func(m core.Machine, rng *rand.Rand, high bool) (system.Workload, error) {
+		return system.ScalingWorkload(m, nVMs, rng, high)
+	})
 }
 
 // Migrate wraps a workload builder so that application `app` (its index in
@@ -488,12 +440,12 @@ func Run(opts Options, build func(Options) (Workload, error), d Design) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return runInner(opts, wl, d)
+	return runInner(opts, wl, d), nil
 }
 
-func runInner(opts Options, wl Workload, d Design) (*Result, error) {
+func runInner(opts Options, wl Workload, d Design) *Result {
 	rr := system.Run(opts.systemConfig(), wl.inner, opts.placerFor(d), opts.Epochs, opts.Warmup)
-	return convert(d, rr), nil
+	return convert(d, rr)
 }
 
 // Compare runs several designs over the same workload. If Static is among
@@ -534,20 +486,11 @@ func Compare(opts Options, build func(Options) (Workload, error), designs ...Des
 	for i, d := range jobs {
 		names[i] = d.String()
 	}
-	all, err := sweep.Cells(opts.Engine, opts.Sinks, "compare/"+strings.Join(names, "+"),
-		opts.Seed, opts.Parallel, len(jobs),
-		func(i int, c *obs.Cell, ctx context.Context) *Result {
+	all, err := sweep.Cells(opts.Env, "compare/"+strings.Join(names, "+"), opts.Seed, len(jobs),
+		func(i int, cell sweep.Env) *Result {
 			co := opts
-			co.Parallel = 1
-			co.Sinks = c.Sinks
-			if ctx != nil { // a nil ctx keeps any caller-installed opts.Ctx
-				co.Ctx = ctx
-			}
-			r, err := runInner(co, wl, jobs[i])
-			if err != nil {
-				panic(err) // runInner cannot fail on an already-validated config
-			}
-			return r
+			co.Env = cell
+			return runInner(co, wl, jobs[i])
 		})
 	if err != nil {
 		return nil, err

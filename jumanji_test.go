@@ -132,11 +132,7 @@ func TestNewWorkloadRandomBatch(t *testing.T) {
 	if len(wl.inner.Apps) != 5 {
 		t.Errorf("workload has %d apps", len(wl.inner.Apps))
 	}
-	r, err := runInner(opts, wl, Jumanji)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.MeetsDeadlines(1.5) {
+	if r := runInner(opts, wl, Jumanji); !r.MeetsDeadlines(1.5) {
 		t.Errorf("tail = %v", r.WorstNormTail)
 	}
 }

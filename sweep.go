@@ -1,10 +1,8 @@
 package jumanji
 
 import (
-	"context"
 	"fmt"
 
-	"jumanji/internal/obs"
 	"jumanji/internal/sweep"
 	"jumanji/internal/system"
 )
@@ -45,15 +43,10 @@ func TailVsAllocation(opts Options, latCrit string, allocsMB []float64) ([]TailP
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Cells(opts.Engine, opts.Sinks, "tailvsalloc/"+latCrit,
-		opts.Seed, opts.Parallel, len(allocsMB),
-		func(i int, c *obs.Cell, ctx context.Context) TailPoint {
+	return sweep.Cells(opts.Env, "tailvsalloc/"+latCrit, opts.Seed, len(allocsMB),
+		func(i int, cell sweep.Env) TailPoint {
 			co := opts
-			co.Parallel = 1
-			co.Sinks = c.Sinks
-			if ctx != nil {
-				co.Ctx = ctx
-			}
+			co.Env = cell
 			cfg := co.systemConfig()
 			bytes := allocsMB[i] * (1 << 20)
 			s := system.RunFixedLat(cfg, wl, bytes, false, opts.Epochs, opts.Warmup)
