@@ -97,6 +97,11 @@ type Hierarchy struct {
 	// FlushBank or InstallPlacement's walk drops it.
 	dir directory
 
+	// striped holds the VCs accessed while they had no descriptor, whose
+	// lines S-NUCA striping homed (stripeHome) until their first
+	// InstallPlacement. Nil until such an access.
+	striped map[vtb.VCID]bool
+
 	// Invalidations counts back-invalidations sent to private caches
 	// (inclusion victims plus placement-change walks).
 	Invalidations uint64
@@ -231,7 +236,13 @@ func (h *Hierarchy) access(core int, addr uint64, part bank.PartitionID, write b
 	if !ok {
 		// Unmapped data falls back to S-NUCA striping by address hash so
 		// the hierarchy still functions before placement runs.
-		bankID = topo.TileID(la / h.cfg.LineSize % uint64(h.cfg.Mesh.Tiles()))
+		bankID = h.stripeHome(la)
+		if vc, mapped := h.vtb.VCFor(la); mapped && !h.striped[vc] {
+			if h.striped == nil {
+				h.striped = make(map[vtb.VCID]bool)
+			}
+			h.striped[vc] = true
+		}
 	}
 	hops := h.cfg.Mesh.Hops(topo.TileID(core), bankID)
 	st.HopsTotal += uint64(2 * hops)
@@ -246,6 +257,12 @@ func (h *Hierarchy) access(core int, addr uint64, part bank.PartitionID, write b
 	st.MemLoads++
 	h.obsMemLoads.Inc()
 	return Outcome{Level: LevelMemory, Bank: bankID, Hops: hops}
+}
+
+// stripeHome is the bank S-NUCA striping homes line la in: the fallback
+// for data whose VC has no descriptor.
+func (h *Hierarchy) stripeHome(la uint64) topo.TileID {
+	return topo.TileID(la / h.cfg.LineSize % uint64(h.cfg.Mesh.Tiles()))
 }
 
 // invalidateOtherSharers implements the write-invalidate half of MESI:
@@ -292,20 +309,35 @@ func (h *Hierarchy) backInvalidate(la uint64) {
 }
 
 // InstallPlacement installs a new placement descriptor for vc and performs
-// the background coherence walk: lines of vc whose descriptor entry moved to
-// a different bank are invalidated from their old banks and, by inclusion,
+// the background coherence walk: lines of vc whose home moved to a different
+// bank are invalidated from their old banks and, by inclusion,
 // back-invalidated from their sharers' private caches, as FlushBank does.
-// It returns the number of LLC lines invalidated.
+// A VC's old homes are its old descriptor's banks, or before its first
+// descriptor the stripe homes its accesses fell back to; a first install
+// walks only if the VC was accessed without a descriptor. It returns the
+// number of LLC lines invalidated.
 func (h *Hierarchy) InstallPlacement(vcID vtb.VCID, d vtb.Descriptor) int {
 	old, had := h.vtb.Descriptor(vcID)
 	h.vtb.Install(vcID, d)
 	if !had {
-		return 0
+		if !h.striped[vcID] {
+			return 0
+		}
+		delete(h.striped, vcID)
+		return h.dropMoved(vcID, nil, &d)
 	}
 	moved, _ := vtb.MovedLines(old, &d)
 	if len(moved) == 0 {
 		return 0
 	}
+	return h.dropMoved(vcID, old, &d)
+}
+
+// dropMoved invalidates, from every LLC bank, the lines of vc that the bank
+// holds as their old home (old's bank, or the stripe home for a nil old)
+// but d does not home there, with their private copies and directory
+// entries (backInvalidate). It returns the number of LLC lines invalidated.
+func (h *Hierarchy) dropMoved(vcID vtb.VCID, old, d *vtb.Descriptor) int {
 	total := 0
 	for bid := range h.llc {
 		bid := topo.TileID(bid)
@@ -317,7 +349,11 @@ func (h *Hierarchy) InstallPlacement(vcID vtb.VCID, d vtb.Descriptor) int {
 			// The line must live in its old home (elsewhere, the
 			// reconstructed address aliases another VC's line), and that
 			// bank must no longer be its home.
-			if old.BankFor(lineAddr) != bid || d.BankFor(lineAddr) == bid {
+			home := h.stripeHome(lineAddr)
+			if old != nil {
+				home = old.BankFor(lineAddr)
+			}
+			if home != bid || d.BankFor(lineAddr) == bid {
 				return false
 			}
 			h.backInvalidate(lineAddr)

@@ -146,6 +146,49 @@ func TestInstallPlacementFirstTimeNoWalk(t *testing.T) {
 	}
 }
 
+// TestFirstInstallDropsStripedLines: lines a VC cached under S-NUCA
+// striping before its first descriptor leave their stripe banks when the
+// first install homes them elsewhere, with their private copies, so no
+// second LLC copy can appear. A line whose stripe bank is also its new home
+// stays.
+func TestFirstInstallDropsStripedLines(t *testing.T) {
+	h := New(testConfig())
+	h.VTB().SetDefaultVC(0)
+	moved, kept := uint64(0xc0), uint64(0x100) // stripe banks 3 and 0
+	for _, la := range []uint64{moved, kept} {
+		if out := h.Access(0, la, 0); out.Level != LevelMemory || out.Bank != h.stripeHome(la) {
+			t.Fatalf("cold read of %#x: %+v, want Memory via stripe bank %d", la, out, h.stripeHome(la))
+		}
+	}
+	if n := h.InstallPlacement(0, vtb.SingleBank(0)); n != 1 {
+		t.Fatalf("first install invalidated %d LLC lines, want 1", n)
+	}
+	if _, ok := h.LLCBank(3).OwnerOf(moved); ok {
+		t.Error("the stripe bank kept the moved line")
+	}
+	if out := h.Access(1, moved, 0); out.Level != LevelMemory || out.Bank != 0 {
+		t.Errorf("core 1 read of the moved line: %+v, want Memory via bank 0", out)
+	}
+	copies := 0
+	for b := 0; b < 4; b++ {
+		if _, ok := h.LLCBank(topo.TileID(b)).OwnerOf(moved); ok {
+			copies++
+		}
+	}
+	if copies != 1 {
+		t.Errorf("%d LLC copies of the moved line, want 1", copies)
+	}
+	if out := h.Access(0, moved, 0); out.Level != LevelLLC || out.Bank != 0 {
+		t.Errorf("core 0 read of the moved line: %+v, want an LLC hit in bank 0 (its L1 copy dropped)", out)
+	}
+	if out := h.Access(0, kept, 0); out.Level != LevelL1 {
+		t.Errorf("core 0 read of the line already home: %v, want L1", out.Level)
+	}
+	if n := h.InstallPlacement(0, vtb.SingleBank(0)); n != 0 {
+		t.Errorf("identical reinstall invalidated %d lines", n)
+	}
+}
+
 func TestInstallPlacementIdenticalNoWalk(t *testing.T) {
 	h := newTestHierarchy()
 	h.Access(0, 0x1000, 0)

@@ -50,11 +50,7 @@ func sharedPoolSplit(s *placeScratch, in *Input, apps []AppID, poolBytes float64
 // stripe spreads bytes for app uniformly over all banks (the S-NUCA
 // placement used by Static, Adaptive and VM-Part).
 func stripe(in *Input, pl *Placement, app AppID, bytes float64) {
-	banks := in.Machine.Banks()
-	per := bytes / float64(banks)
-	for b := 0; b < banks; b++ {
-		pl.Add(app, topo.TileID(b), per)
-	}
+	pl.addToEveryBank(app, bytes/float64(in.Machine.Banks()))
 	if in.Prov.Enabled() {
 		spec := in.Apps[app]
 		in.Prov.Simple(obs.StageStripe, int(spec.VM), int(app), spec.LatencyCritical, bytes, bytes)

@@ -12,8 +12,9 @@ import (
 
 // TestHullCacheOnSystemRuns runs core.HullProbe on the placer inputs
 // internal/system builds and reuses epoch by epoch: at every placement the
-// hulls the cache holds equal fresh ones bit for bit, and the placement
-// equals one made with an empty cache. It covers every hulling placer on a
+// hulls the cache holds equal fresh ones bit for bit, so do the gain runs
+// and convexity verdicts it keeps beside them, and the placement equals one
+// made with an empty cache. It covers every hulling placer on a
 // 5×4 case study, each chaos curve fault (whose corrupted and restored
 // curves rebuild an app's hull), the sharded Jumanji and Jigsaw placers on
 // DatacenterWorkload's 16×16 fleet (the probe sees each region's
@@ -68,9 +69,13 @@ func TestHullCacheOnSystemRuns(t *testing.T) {
 		t.Error("the 12 VMs on 4 banks were never folded into time-shared groups")
 	}
 
-	t.Logf("%d placements (%d Jumanji shrink retries): %d hulls reused, %d built", c.Placements, c.Retried, c.Current, c.Built)
+	t.Logf("%d placements (%d Jumanji shrink retries): %d hulls reused, %d built; %d kept runs and %d verdicts checked",
+		c.Placements, c.Retried, c.Current, c.Built, c.Runs, c.Verdicts)
 	if c.Current == 0 || c.Built == 0 {
 		t.Errorf("want hulls both reused and built; reused %d, built %d", c.Current, c.Built)
+	}
+	if c.Runs == 0 || c.Verdicts == 0 {
+		t.Errorf("want kept runs and verdicts checked; checked %d and %d", c.Runs, c.Verdicts)
 	}
 	if c.Retried == 0 {
 		t.Error("no Jumanji placement took the shrink retries")

@@ -14,22 +14,39 @@ import (
 // input's cache held current before a placement (Current), hulls a
 // placement built or rebuilt (Built), and Jumanji placements whose first
 // attempt failed, so that they placed shrunk copies of the input (Retried).
+// Runs and Verdicts count the kept gain runs and convexity verdicts checked
+// against fresh ones after a placement; Rederived counts built or rebuilt
+// hulls that hold a run or verdict after their placement, and Blanked the
+// reused entries whose blanked run or verdict (HullProbe.Blank) nothing
+// re-derived.
 type HullCounts struct {
 	Placements, Current, Built, Retried int
+	Runs, Verdicts, Rederived, Blanked  int
 }
 
 // HullProbe checks every input it places against the hull cache's
 // contract. It places a copy of the input whose cache is empty, then the
 // input itself with Inner, and requires the two placements to be
 // bit-identical. After the placement every cache entry current for its app
-// must equal a fresh ScaleInto + ConvexHullInto of that app bit for bit, and
-// an entry that was current before the placement must still use its
+// must equal a fresh ScaleInto + ConvexHullInto of that app bit for bit, its
+// kept gain run (if built) must equal mrc.AppendGainRun of the fresh hull,
+// its kept verdict (if tested) must equal the fresh hull's IsConvex(1e-12),
+// and an entry that was current before the placement must still use its
 // backing (it was reused, not rebuilt). As a ShardedPlacer's Inner it sees
 // the region sub-inputs.
+//
+// With Blank set, the probe blanks what each current entry derived from its
+// hull before the placement: a kept run becomes empty and a true verdict
+// false. Neither changes the placement's bits (an empty run sends
+// mrc.MergeGainRuns to the global sort, which the mrc tests pin to the
+// merge, and lookahead tests an unvouched curve itself). Afterwards a reused
+// entry must still hold its blanks, which shows nothing re-derived them,
+// and the probe restores them.
 type HullProbe struct {
 	T      testing.TB
 	Counts *HullCounts
 	Inner  ScratchPlacer
+	Blank  bool
 }
 
 // Name implements Placer.
@@ -53,9 +70,21 @@ func (p HullProbe) PlaceInto(in *Input, pl *Placement) *Placement {
 	}
 
 	before := make([]*float64, len(in.Apps))
+	blankRun := make([]bool, len(in.Apps))
+	blankVerdict := make([]bool, len(in.Apps))
 	for i := range in.Apps {
-		if e := currentEntry(in, AppID(i)); e != nil && len(e.hull) > 0 {
-			before[i] = &e.hull[0]
+		e := currentEntry(in, AppID(i))
+		if e == nil || len(e.hull.M) == 0 {
+			continue
+		}
+		before[i] = &e.hull.M[0]
+		if p.Blank {
+			if e.hasRun && len(e.run) > 0 {
+				e.run, blankRun[i] = e.run[:0], true
+			}
+			if e.hasConvex && e.convex {
+				e.convex, blankVerdict[i] = false, true
+			}
 		}
 	}
 	pl = p.Inner.PlaceInto(in, pl)
@@ -66,14 +95,41 @@ func (p HullProbe) PlaceInto(in *Input, pl *Placement) *Placement {
 			continue
 		}
 		label := fmt.Sprintf("%s app %d", p.Inner.Name(), i)
-		requireHullBits(t, e.hull, freshHull(spec).M, label)
+		fresh := freshHull(spec)
+		requireHullBits(t, e.hull.M, fresh.M, label)
 		switch {
 		case before[i] == nil:
 			p.Counts.Built++
-		case len(e.hull) > 0 && &e.hull[0] != before[i]:
+			if e.hasRun || e.hasConvex {
+				p.Counts.Rederived++
+			}
+		case len(e.hull.M) > 0 && &e.hull.M[0] != before[i]:
 			t.Fatalf("%s: a current entry was rebuilt into new backing", label)
 		default:
 			p.Counts.Current++
+		}
+		if blankRun[i] || blankVerdict[i] {
+			if (blankRun[i] && len(e.run) != 0) || (blankVerdict[i] && e.convex) {
+				t.Fatalf("%s: a reused entry re-derived its run or verdict", label)
+			}
+			p.Counts.Blanked++
+			if blankRun[i] {
+				e.run, _ = mrc.AppendGainRun(e.run, e.hull)
+			}
+			e.convex = e.convex || blankVerdict[i]
+		}
+		if e.hasRun {
+			run, _ := mrc.AppendGainRun(nil, fresh)
+			if !sameBits(e.run, run) {
+				t.Fatalf("%s: kept gain run differs from a fresh one:\n got %v\nwant %v", label, e.run, run)
+			}
+			p.Counts.Runs++
+		}
+		if e.hasConvex {
+			if want := fresh.IsConvex(1e-12); e.convex != want {
+				t.Fatalf("%s: kept convexity verdict %v, the fresh hull's %v", label, e.convex, want)
+			}
+			p.Counts.Verdicts++
 		}
 	}
 	requireBitwiseEqual(t, in, pl, want, p.Inner.Name()+" warm vs cold hull cache")
@@ -95,7 +151,7 @@ func currentEntry(in *Input, app AppID) *hullEntry {
 	return e
 }
 
-// freshHull is the hull appHull stands for, built from nothing cached.
+// freshHull is the hull appEntry stands for, built from nothing cached.
 func freshHull(spec AppSpec) mrc.Curve {
 	n := len(spec.MissRatio.M)
 	return spec.MissRatio.ScaleInto(make([]float64, n), spec.AccessRate).ConvexHullInto(make([]float64, n))
@@ -113,11 +169,15 @@ func requireHullBits(t testing.TB, got, want []float64, label string) {
 // reuse every hull; a curve replaced by a different one, a curve mutated in
 // place or a changed access rate rebuild that app's hull and no other, and
 // changed units rebuild every hull. Jigsaw hulls every app, Jumanji and
-// VM-Part every batch app.
+// VM-Part every batch app. The kept gain run and convexity verdict follow
+// their hull: the probe blanks them before each placement, and every reused
+// hull's blanks survive it while every rebuilt hull holds a fresh run or
+// verdict after it (Jigsaw and Jumanji vouch each hull's verdict to
+// lookahead, and VM-Part merges each hull's run).
 func TestHullCacheRebuildsOnChange(t *testing.T) {
 	for _, inner := range []ScratchPlacer{JigsawPlacer{}, JumanjiPlacer{}, VMPartPlacer{}} {
 		var c HullCounts
-		probe := HullProbe{T: t, Counts: &c, Inner: inner}
+		probe := HullProbe{T: t, Counts: &c, Inner: inner, Blank: true}
 		in := testWorkload(4, 4, rand.New(rand.NewSource(31)))
 		pl := NewPlacement(in.Machine)
 		probe.PlaceInto(in, pl)
@@ -159,6 +219,12 @@ func TestHullCacheRebuildsOnChange(t *testing.T) {
 			if got := c.Current - prev.Current; got != hulled-st.rebuilt {
 				t.Errorf("%s %s: %d hulls reused, want %d", inner.Name(), st.name, got, hulled-st.rebuilt)
 			}
+			if got := c.Rederived - prev.Rederived; got != st.rebuilt {
+				t.Errorf("%s %s: %d rebuilt hulls hold a fresh run or verdict, want %d", inner.Name(), st.name, got, st.rebuilt)
+			}
+			if got := c.Blanked - prev.Blanked; got != hulled-st.rebuilt {
+				t.Errorf("%s %s: %d reused hulls kept their blanked run or verdict, want %d", inner.Name(), st.name, got, hulled-st.rebuilt)
+			}
 		}
 		// A new unit for every app (each VM's batch curves must share one)
 		// rebuilds every hull, which must carry the new unit.
@@ -171,8 +237,13 @@ func TestHullCacheRebuildsOnChange(t *testing.T) {
 			t.Errorf("%s changed units: %d hulls rebuilt and %d reused, want %d and 0",
 				inner.Name(), got, c.Current-prev.Current, hulled)
 		}
+		if got := c.Rederived - prev.Rederived; got != hulled || c.Blanked != prev.Blanked {
+			t.Errorf("%s changed units: %d rebuilt hulls hold a fresh run or verdict and %d kept blanks, want %d and 0",
+				inner.Name(), got, c.Blanked-prev.Blanked, hulled)
+		}
+		t.Logf("%s: %d runs and %d verdicts checked", inner.Name(), c.Runs, c.Verdicts)
 		s := getPlaceScratch(in)
-		if h := s.appHull(in, batch[0]); h.Unit != in.Apps[batch[0]].MissRatio.Unit {
+		if h := s.appEntry(in, batch[0]).hull; h.Unit != in.Apps[batch[0]].MissRatio.Unit {
 			t.Errorf("%s: hull unit %v after the unit changed to %v", inner.Name(), h.Unit, in.Apps[batch[0]].MissRatio.Unit)
 		}
 		putPlaceScratch(s)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"jumanji/internal/lookahead"
-	"jumanji/internal/mrc"
 	"jumanji/internal/obs"
 )
 
@@ -62,19 +61,20 @@ func jigsawPlace(in *Input, hull bool, pl *Placement) *Placement {
 	wayBytes := in.Machine.WayBytes()
 	for i := range in.Apps {
 		apps = append(apps, AppID(i))
-		var curve mrc.Curve
+		r := lookahead.Request{
+			Min:  wayBytes, // every VC keeps a sliver of cache
+			Step: wayBytes,
+			Max:  in.Machine.TotalBytes(),
+		}
 		if hull {
-			curve = s.appHull(in, AppID(i))
+			// The cached hull brings its kept convexity verdict.
+			e := s.appEntry(in, AppID(i))
+			r.Curve, r.Convex = e.hull, e.isConvex()
 		} else {
 			spec := in.Apps[i]
-			curve = spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)
+			r.Curve = spec.MissRatio.ScaleInto(s.arena.Alloc(len(spec.MissRatio.M)), spec.AccessRate)
 		}
-		reqs = append(reqs, lookahead.Request{
-			Curve: curve,
-			Min:   wayBytes, // every VC keeps a sliver of cache
-			Step:  wayBytes,
-			Max:   in.Machine.TotalBytes(),
-		})
+		reqs = append(reqs, r)
 	}
 	s.batch, s.reqs = apps, reqs
 	s.sizes = lookahead.AllocateInto(s.sizes[:0], in.Machine.TotalBytes(), reqs)

@@ -349,11 +349,13 @@ func (p JumanjiPlacer) placeBatchWithin(in *Input, pl *Placement, s *placeScratc
 	wayBytes := in.Machine.WayBytes()
 	reqs := s.reqs[:0]
 	for _, app := range batch {
+		e := s.appEntry(in, app)
 		reqs = append(reqs, lookahead.Request{
-			Curve: s.appHull(in, app),
-			Min:   wayBytes,
-			Step:  wayBytes,
-			Max:   in.Machine.TotalBytes(),
+			Curve:  e.hull,
+			Min:    wayBytes,
+			Step:   wayBytes,
+			Max:    in.Machine.TotalBytes(),
+			Convex: e.isConvex(),
 		})
 	}
 	s.reqs = reqs

@@ -204,7 +204,7 @@ func eagerVMPartWays(in *Input, s *placeScratch, poolWays float64) ([]float64, [
 }
 
 // combinedBatchCurveArena is VM-Part's and Ideal Batch's per-VM curve as
-// they built it before routing through appHull: each app's scaled curve
+// they built it before reading the hull cache: each app's scaled curve
 // hulled afresh, then the hulls combined. The result is backed by s.arena.
 func combinedBatchCurveArena(s *placeScratch, in *Input, batch []AppID) mrc.Curve {
 	curves := s.curves[:0]

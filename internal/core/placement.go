@@ -125,6 +125,24 @@ func (p *Placement) Add(app AppID, b topo.TileID, bytes float64) {
 	p.usedDirty[b] = true
 }
 
+// addToEveryBank is Add(app, b, bytes) for every bank b in order, as one
+// call: the same += per bank, one ensureApp, and the same early return when
+// bytes <= 0 (a NaN is added).
+func (p *Placement) addToEveryBank(app AppID, bytes float64) {
+	if bytes <= 0 {
+		return
+	}
+	p.ensureApp(app)
+	row := p.alloc[int(app)*p.banks : (int(app)+1)*p.banks]
+	for b := range row {
+		row[b] += bytes
+	}
+	p.totalsDirty[app] = true
+	for b := range p.usedDirty {
+		p.usedDirty[b] = true
+	}
+}
+
 // adjust adds delta bytes (possibly negative) to app's share of bank b,
 // clamping tiny float residue at zero (the dense equivalent of deleting the
 // map entry). TradePlacer uses it to apply accepted trades.

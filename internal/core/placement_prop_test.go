@@ -452,3 +452,58 @@ func TestAvgHopsMatchesMeshHops(t *testing.T) {
 		}
 	}
 }
+
+// TestAddToEveryBankMatchesAdd pins addToEveryBank, stripe's one-call row
+// fill, to Add per bank in bank order: on random machines, into rows that
+// already hold bytes and into fresh ones, with finite, zero, −0, negative,
+// NaN and ±Inf byte counts, every row, total and bank sum must match bit
+// for bit. The sums are also read between fills, so a total or bank sum
+// cached before a fill must be taken again after it.
+func TestAddToEveryBankMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	special := []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 200; trial++ {
+		m := DefaultMachine()
+		m.Mesh = topo.NewMesh(1+rng.Intn(16), 1+rng.Intn(16))
+		one, each := NewPlacement(m), NewPlacement(m)
+		const apps = 5
+		check := func(step int) {
+			t.Helper()
+			for app := AppID(0); app <= apps; app++ {
+				if !sameBits(one.AllocRow(app), each.AllocRow(app)) {
+					t.Fatalf("trial %d step %d app %d: row %v, per-bank Add %v", trial, step, app, one.AllocRow(app), each.AllocRow(app))
+				}
+				if got, want := one.TotalOf(app), each.TotalOf(app); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d step %d app %d: total %v, per-bank Add %v", trial, step, app, got, want)
+				}
+			}
+			for b := 0; b < m.Banks(); b++ {
+				if got, want := one.BankUsed(topo.TileID(b)), each.BankUsed(topo.TileID(b)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d step %d bank %d: used %v, per-bank Add %v", trial, step, b, got, want)
+				}
+			}
+		}
+		for step := 0; step < 12; step++ {
+			if rng.Intn(4) == 0 {
+				check(step)
+			}
+			app := AppID(rng.Intn(apps))
+			if rng.Intn(2) == 0 {
+				b := topo.TileID(rng.Intn(m.Banks()))
+				bytes := rng.Float64() * m.WayBytes()
+				one.Add(app, b, bytes)
+				each.Add(app, b, bytes)
+				continue
+			}
+			bytes := rng.Float64() * math.Ldexp(1, rng.Intn(60)-20)
+			if rng.Intn(3) == 0 {
+				bytes = special[rng.Intn(len(special))]
+			}
+			one.addToEveryBank(app, bytes)
+			for b := 0; b < m.Banks(); b++ {
+				each.Add(app, topo.TileID(b), bytes)
+			}
+		}
+		check(12)
+	}
+}

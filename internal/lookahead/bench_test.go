@@ -10,7 +10,8 @@ import (
 
 // benchRequests builds n contenders with convex hulled curves — the shape
 // every epoch sweep passes, so the benchmark exercises the convex fast path
-// with its cached marginal rates and pooled scratch.
+// with its cached marginal rates and pooled scratch. Each request carries
+// its curve's convexity verdict, as the placers pass their cached hulls.
 func benchRequests(rng *rand.Rand, n, points int) []Request {
 	reqs := make([]Request, n)
 	for i := range reqs {
@@ -20,7 +21,8 @@ func benchRequests(rng *rand.Rand, n, points int) []Request {
 		}
 		// Scaled by an access rate, as the placers pass their hulls.
 		h := mrc.New(64*1024, pts).ConvexHull()
-		reqs[i] = Request{Curve: h.ScaleInto(h.M, 0.5+rng.Float64())}
+		h = h.ScaleInto(h.M, 0.5+rng.Float64())
+		reqs[i] = Request{Curve: h, Convex: h.IsConvex(1e-12)}
 	}
 	return reqs
 }
@@ -48,6 +50,7 @@ func BenchmarkLookaheadAllocateNonConvex(b *testing.B) {
 		// Re-introduce a cliff so IsConvex fails and the jump scan runs.
 		m := reqs[i].Curve.M
 		m[len(m)/2] = m[0]
+		reqs[i].Convex = reqs[i].Curve.IsConvex(1e-12)
 	}
 	total := 0.5 * 4 * 31 * 64 * 1024
 	b.ResetTimer()

@@ -10,7 +10,9 @@ import (
 
 // FuzzAllocate checks the partitioning invariants on arbitrary inputs:
 // no over-commit, no negative allocations, minima respected, maxima
-// respected.
+// respected. It also checks Request.Convex: the requests vouched convex
+// exactly where their curves pass IsConvex(1e-12) must get the unvouched
+// sizes bit for bit.
 func FuzzAllocate(f *testing.F) {
 	f.Add([]byte{100, 50, 20, 10}, []byte{90, 80, 10, 5}, uint8(8), uint8(0), uint8(0))
 	f.Add([]byte{255, 0}, []byte{10, 10, 10}, uint8(3), uint8(1), uint8(2))
@@ -56,6 +58,11 @@ func FuzzAllocate(f *testing.F) {
 		if sum > total+1e-6 {
 			t.Fatalf("over-committed: %v > %v", sum, total)
 		}
+		vouched := append([]Request(nil), reqs...)
+		for i := range vouched {
+			vouched[i].Convex = vouched[i].Curve.IsConvex(1e-12)
+		}
+		requireBits(t, Allocate(total, vouched), sizes, "vouched convex")
 	})
 }
 

@@ -36,6 +36,11 @@ type Request struct {
 	Step float64
 	// Max caps the allocation in bytes. Zero means the curve's full extent.
 	Max float64
+	// Convex states that Curve passes Curve.IsConvex(1e-12), the test that
+	// picks Allocate's single-step fast path; Allocate then skips that test
+	// for this request. A caller that keeps the verdict with its curve (the
+	// placers' hull cache) sets it; false only costs the test.
+	Convex bool
 }
 
 // Allocate distributes `total` bytes among the requests, returning the bytes
@@ -107,7 +112,7 @@ func AllocateInto(dst []float64, total float64, reqs []Request) []float64 {
 	// is the common case.
 	allConvex := true
 	for i := range reqs {
-		if !reqs[i].Curve.IsConvex(1e-12) {
+		if !reqs[i].Convex && !reqs[i].Curve.IsConvex(1e-12) {
 			allConvex = false
 			break
 		}

@@ -76,6 +76,28 @@ func BenchmarkMRCCombine(b *testing.B) {
 	}
 }
 
+// BenchmarkMRCCombineKept measures the per-VM combine as the flat placers
+// make it for hulls their Input's cache reused: Fig. 13's shape, four
+// hulls of 640 steps (one per way of the 5×4 machine's 20 banks of 32 ways,
+// so 641 points), whose gain runs were kept from an earlier placement,
+// merged into reused storage (MergeGainRuns). Neither a hull nor a run is
+// built per iteration.
+func BenchmarkMRCCombineKept(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	hulls := make([]Curve, 4)
+	runs := make([][]float64, len(hulls))
+	for i := range hulls {
+		hulls[i] = benchCurve(rng, 641).ConvexHull()
+		runs[i], _ = AppendGainRun(nil, hulls[i])
+	}
+	dst := make([]float64, combinedLen(hulls))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MergeGainRuns(dst, hulls, runs)
+	}
+}
+
 // BenchmarkMRCCombineFleet is BenchmarkMRCCombine at fleet size: four
 // curves of 4,096 points each. On a 16×16 mesh with the default 32 ways an
 // app's curve has 8,193 points (one per way of the 256 banks, plus zero),

@@ -89,8 +89,9 @@ func combineCurvesFromBytes(n uint8, data []byte) (curves []Curve, finite bool) 
 }
 
 // FuzzCombine checks CombineHullsInto fed 1-8 curves' ConvexHullInto
-// outputs bitwise against the global-sort reference (combineGlobalSort) on
-// the raw curves, and the Whirlpool combination invariants on finite input:
+// outputs, and MergeGainRuns fed the same hulls' kept AppendGainRun runs,
+// bitwise against the global-sort reference (combineGlobalSort) on the raw
+// curves, and the Whirlpool combination invariants on finite input:
 // monotone, convex, correct length and endpoints.
 func FuzzCombine(f *testing.F) {
 	f.Add(uint8(1), []byte{100, 50, 20, 80, 10})
@@ -113,6 +114,9 @@ func FuzzCombine(f *testing.F) {
 		want := combineGlobalSort(curves...)
 		if !bitsEqual(comb.M, want.M) {
 			t.Fatalf("CombineHullsInto differs from the global-sort reference:\n got %v\nwant %v\n  in %v", comb.M, want.M, curves)
+		}
+		if kept := hullAndMerge(t, curves...); !bitsEqual(kept.M, want.M) {
+			t.Fatalf("MergeGainRuns differs from the global-sort reference:\n got %v\nwant %v\n  in %v", kept.M, want.M, curves)
 		}
 		if !finite {
 			return

@@ -124,6 +124,11 @@ func resampleHull(dst []float64, hull []pt) {
 			end = len(dst)
 		}
 		dx, dy := b.x-a.x, b.y-a.y
+		// At the left vertex i == a.x, so t below would be (+0)/dx, which
+		// is +0 for the positive integer dx: the same bits without the
+		// division, NaN and infinite dy included.
+		dst[i] = a.y + 0*dy
+		i++
 		for ; i < end; i++ {
 			t := (float64(i) - a.x) / dx
 			dst[i] = a.y + t*dy
@@ -144,104 +149,172 @@ func resampleHull(dst []float64, hull []pt) {
 //
 // The combined curve spends its capacity steps on the largest remaining
 // per-step gains of all hulls, so it needs every hull's gains in one
-// descending order. Convexity makes each hull's own gains a descending run,
-// and the merge k-way merges those runs rather than sorting all the gains.
-// Resampling a hull onto the grid can leave a gain an ulp above its
-// predecessor, so each run is checked and repaired in place before the
-// merge. Any descending order of the same gains yields the same curve bit
-// for bit: equal gains have equal bits except ±0, and subtracting either
-// from the running miss rate, which is never −0, gives the same result. So
-// the merge reproduces the global sort exactly. Gains containing NaN (from
-// NaN or infinite input points) have no descending order. For them the
-// merge keeps the global sort: sort.Float64s over all gains, NaNs first,
-// consumed back to front.
+// descending order. Convexity makes each hull's own gains a descending run
+// (AppendGainRun), and the merge k-way merges those runs rather than
+// sorting all the gains (MergeGainRuns). Any descending order of the same
+// gains yields the same curve bit for bit: equal gains have equal bits
+// except ±0, and subtracting either from the running miss rate, which is
+// never −0, gives the same result. So the merge reproduces the global sort
+// exactly. Gains containing NaN (from NaN or infinite input points) have no
+// descending order. For them the merge keeps the global sort:
+// sort.Float64s over all gains, NaNs first, consumed back to front.
 func CombineHullsInto(dst []float64, hulls ...Curve) Curve {
 	if len(hulls) == 0 {
 		panic("mrc: CombineHullsInto of no curves")
 	}
+	// Gather and repair each hull's run into pooled scratch, back to back
+	// in one backing sized up front — the placers combine once per VM per
+	// epoch, so the scratch is reused across calls rather than reallocated.
+	// A NaN leaves its hull's run empty, which sends the merge to the
+	// global sort.
+	s := combinePool.Get().(*combineScratch)
+	gains := slices.Grow(s.gains[:0], max(0, combinedLen(hulls)-1))
+	runs := s.runs[:0]
+	for _, h := range hulls {
+		start := len(gains)
+		gains, _ = AppendGainRun(gains, h)
+		runs = append(runs, gains[start:len(gains):len(gains)])
+	}
+	s.gains, s.runs = gains, runs
+	out := mergeGainRuns(s, dst, hulls, runs)
+	combinePool.Put(s)
+	return out
+}
+
+// AppendGainRun appends hull h's per-step gains, M[i-1]−M[i], to dst in
+// descending order and returns the extended slice and true. Convexity makes
+// the gains descend already, but resampling a hull onto the grid can leave
+// a gain an ulp above its predecessor, so the run is repaired in place. A
+// NaN gain has no place in a descending order: then the run is not
+// repaired, and AppendGainRun returns dst without it (its capacity kept)
+// and false. The run depends on nothing but h's bits, so a caller that
+// keeps h may keep its run for MergeGainRuns. dst grows at most once.
+func AppendGainRun(dst []float64, h Curve) ([]float64, bool) {
+	start := len(dst)
+	dst = slices.Grow(dst, max(0, len(h.M)-1))
+	nan := false
+	for i := 1; i < len(h.M); i++ {
+		g := h.M[i-1] - h.M[i]
+		nan = nan || g != g
+		dst = append(dst, g)
+	}
+	if nan {
+		return dst[:start], false
+	}
+	repairRun(dst[start:])
+	return dst, true
+}
+
+// MergeGainRuns is CombineHullsInto for callers that keep each hull's gain
+// run: runs[k] must be hulls[k]'s run as AppendGainRun returned it, and
+// len(runs) == len(hulls). A run shorter than its hull's steps (a run
+// AppendGainRun declined for a NaN) sends the merge to the global sort over
+// the hulls' own gains, as CombineHullsInto does on NaN. The result equals
+// CombineHullsInto(dst, hulls...) bit for bit; dst follows its rules, and
+// the runs are only read. A warmed call allocates nothing.
+func MergeGainRuns(dst []float64, hulls []Curve, runs [][]float64) Curve {
+	if len(hulls) == 0 {
+		panic("mrc: MergeGainRuns of no curves")
+	}
+	s := combinePool.Get().(*combineScratch)
+	out := mergeGainRuns(s, dst, hulls, runs)
+	combinePool.Put(s)
+	return out
+}
+
+// mergeGainRuns is MergeGainRuns on borrowed scratch. The NaN fallback
+// gathers the hulls' gains into s.gains, so runs must not alias it unless
+// they are read no more once that fallback is taken (CombineHullsInto's
+// runs, which it replaces).
+func mergeGainRuns(s *combineScratch, dst []float64, hulls []Curve, runs [][]float64) Curve {
+	if len(runs) != len(hulls) {
+		panic("mrc: MergeGainRuns needs one run per hull")
+	}
 	unit := hulls[0].Unit
 	totalSteps := 0
-	for _, h := range hulls {
+	nan := false
+	for k, h := range hulls {
 		if h.Unit != unit {
 			panic("mrc: CombineHullsInto on mismatched units")
 		}
 		totalSteps += len(h.M) - 1
+		nan = nan || len(runs[k]) != len(h.M)-1
 	}
 	if len(dst) != totalSteps+1 {
 		panic("mrc: CombineHullsInto dst length mismatch")
 	}
-	// Gather each hull's per-step miss reduction into pooled scratch, one
-	// run per hull — the placers combine once per VM per epoch, so the
-	// scratch is reused across calls rather than reallocated.
-	s := combinePool.Get().(*combineScratch)
-	gains, heads := s.gains[:0], s.heads[:0]
-	nan := false
 	base := 0.0
 	for _, h := range hulls {
 		base += h.M[0]
-		start := len(gains)
-		for i := 1; i < len(h.M); i++ {
-			g := h.M[i-1] - h.M[i]
-			nan = nan || g != g
-			gains = append(gains, g)
-		}
-		if len(gains) > start {
-			heads = append(heads, runHead{next: start, end: len(gains)})
-		}
 	}
 	dst[0] = base
 	if nan {
-		// Ascending sort (the specialized float64 path), consumed
+		// The hulls' gains in hull order, as the global sort reads them:
+		// an ascending sort (the specialized float64 path), consumed
 		// back-to-front: descending order of values, NaNs last.
+		gains := s.gains[:0]
+		for _, h := range hulls {
+			for i := 1; i < len(h.M); i++ {
+				gains = append(gains, h.M[i-1]-h.M[i])
+			}
+		}
+		s.gains = gains
 		sort.Float64s(gains)
+		m := base
 		for i := range gains {
-			combineStep(dst, i, gains[len(gains)-1-i])
+			m = combineStep(m, gains[len(gains)-1-i])
+			dst[i+1] = m
 		}
 	} else {
-		mergeRuns(dst, gains, heads)
+		heads := s.heads[:0]
+		for k, run := range runs {
+			if len(run) > 0 {
+				heads = append(heads, runHead{g: run[0], run: k, next: 1})
+			}
+		}
+		mergeRuns(dst, runs, heads)
+		s.heads = heads
 	}
-	s.gains, s.heads = gains, heads
-	combinePool.Put(s)
 	return Curve{Unit: unit, M: dst}
 }
 
-// combineStep spends capacity step i+1 on gain g.
-func combineStep(dst []float64, i int, g float64) {
-	dst[i+1] = dst[i] - g
-	if dst[i+1] < 0 {
-		dst[i+1] = 0 // guard against float drift
+// combineStep spends one capacity step on gain g: the miss rate m after
+// the step before, less g, and never below 0 (a guard against float drift).
+func combineStep(m, g float64) float64 {
+	m -= g
+	if m < 0 {
+		m = 0
 	}
+	return m
 }
 
-// combineScratch is CombineHullsInto's pooled working set.
+// combineScratch is CombineHullsInto's and MergeGainRuns' pooled working
+// set.
 type combineScratch struct {
-	gains []float64 // every hull's gains, one run per hull, back to back
-	heads []runHead // the runs, then the merge heap over them
+	gains []float64   // CombineHullsInto's runs back to back, or the fallback's gains
+	runs  [][]float64 // CombineHullsInto's runs, one per hull
+	heads []runHead   // the merge heap over the runs
 }
 
 var combinePool = sync.Pool{New: func() any { return new(combineScratch) }}
 
-// runHead is one gain run's unmerged remainder: g is its largest gain,
-// gains[next:end] the rest.
+// runHead is the unmerged remainder of gain run runs[run]: g is its largest
+// gain, runs[run][next:] the gains after it. It holds no pointer, so the
+// heap's swaps need no GC write barrier.
 type runHead struct {
 	g         float64
-	next, end int
+	run, next int
 }
 
-// mergeRuns repairs each run in heads into descending order, then merges
-// the runs largest gain first into dst[1:], every gain reducing the miss
-// rate of the step before. gains must hold no NaN.
-func mergeRuns(dst, gains []float64, heads []runHead) {
-	for i := range heads {
-		h := &heads[i]
-		repairRun(gains[h.next:h.end])
-		h.g = gains[h.next]
-		h.next++
-	}
+// mergeRuns merges the descending runs that heads index in runs, largest
+// gain first, into dst[1:], every gain reducing the miss rate of the step
+// before, starting from dst[0]. The runs must hold no NaN.
+func mergeRuns(dst []float64, runs [][]float64, heads []runHead) {
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftDown(heads, i)
 	}
-	i := 0
+	m := dst[0]
+	i := 1
 	for len(heads) > 1 {
 		// Every other run's gains are at most the root's larger child, so
 		// the top run keeps the lead for as long as its gains stay at or
@@ -251,16 +324,18 @@ func mergeRuns(dst, gains []float64, heads []runHead) {
 			bound = heads[2].g
 		}
 		top := &heads[0]
-		combineStep(dst, i, top.g)
+		m = combineStep(m, top.g)
+		dst[i] = m
 		i++
-		for top.next < top.end && gains[top.next] >= bound {
-			combineStep(dst, i, gains[top.next])
+		run, k := runs[top.run], top.next
+		for k < len(run) && run[k] >= bound {
+			m = combineStep(m, run[k])
+			dst[i] = m
 			i++
-			top.next++
+			k++
 		}
-		if top.next < top.end {
-			top.g = gains[top.next]
-			top.next++
+		if k < len(run) {
+			top.g, top.next = run[k], k+1
 		} else {
 			heads[0] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
@@ -269,10 +344,12 @@ func mergeRuns(dst, gains []float64, heads []runHead) {
 	}
 	// The last run needs no more comparisons.
 	if len(heads) == 1 {
-		combineStep(dst, i, heads[0].g)
+		m = combineStep(m, heads[0].g)
+		dst[i] = m
 		i++
-		for _, g := range gains[heads[0].next:heads[0].end] {
-			combineStep(dst, i, g)
+		for _, g := range runs[heads[0].run][heads[0].next:] {
+			m = combineStep(m, g)
+			dst[i] = m
 			i++
 		}
 	}

@@ -56,13 +56,38 @@ func TestIntoMatchesAllocating(t *testing.T) {
 }
 
 // hullAndCombine hulls each curve into fresh backing and combines the
-// hulls, the way the placers combine a VM's curves.
+// hulls, the way the sharded region stage combines a VM's curves.
 func hullAndCombine(curves ...Curve) Curve {
 	hulls := make([]Curve, len(curves))
 	for i, c := range curves {
 		hulls[i] = c.ConvexHull()
 	}
 	return CombineHullsInto(make([]float64, combinedLen(hulls)), hulls...)
+}
+
+// hullAndMerge hulls each curve, keeps each hull's gain run in backing of
+// its own (AppendGainRun) and merges the kept runs (MergeGainRuns), the way
+// the flat placers combine the hulls their Input's cache keeps. It fails t
+// unless AppendGainRun reports false exactly for the hulls with a NaN gain,
+// and returns its run then empty.
+func hullAndMerge(t testing.TB, curves ...Curve) Curve {
+	t.Helper()
+	hulls := make([]Curve, len(curves))
+	runs := make([][]float64, len(curves))
+	for i, c := range curves {
+		hulls[i] = c.ConvexHull()
+		nan := false
+		for j := 1; j < len(hulls[i].M); j++ {
+			g := hulls[i].M[j-1] - hulls[i].M[j]
+			nan = nan || g != g
+		}
+		var ok bool
+		runs[i], ok = AppendGainRun(nil, hulls[i])
+		if ok == nan || (nan && len(runs[i]) != 0) {
+			t.Fatalf("AppendGainRun of %v: run %v, ok %v; the hull has NaN gains: %v", hulls[i].M, runs[i], ok, nan)
+		}
+	}
+	return MergeGainRuns(make([]float64, combinedLen(hulls)), hulls, runs)
 }
 
 // TestConvexHullIntoNoAlias pins the documented guarantee: even when the
@@ -114,6 +139,22 @@ func TestAllocGuardInto(t *testing.T) {
 		out = CombineHullsInto(cdst, hulls...)
 	}); allocs != 0 {
 		t.Errorf("CombineHullsInto allocated %v times per call, want 0 (pooled scratch)", allocs)
+	}
+	allocSink = out.M[0]
+
+	// The kept-run path: runs built once into storage that is then reused,
+	// merged on pooled scratch.
+	runs := make([][]float64, len(hulls))
+	for i, h := range hulls {
+		runs[i], _ = AppendGainRun(nil, h)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		for i, h := range hulls {
+			runs[i], _ = AppendGainRun(runs[i][:0], h)
+		}
+		out = MergeGainRuns(cdst, hulls, runs)
+	}); allocs != 0 {
+		t.Errorf("AppendGainRun into reused runs and MergeGainRuns allocated %v times per call, want 0", allocs)
 	}
 	allocSink = out.M[0]
 }
@@ -193,6 +234,9 @@ func TestCombineMatchesGlobalSort(t *testing.T) {
 		if !bitsEqual(got.M, want.M) {
 			t.Fatalf("%s: CombineHullsInto differs from the global-sort reference", label)
 		}
+		if kept := hullAndMerge(t, curves...); !bitsEqual(kept.M, want.M) {
+			t.Fatalf("%s: MergeGainRuns over kept runs differs from the global-sort reference", label)
+		}
 		for _, c := range curves {
 			if gainsInverted(c) {
 				repaired++
@@ -243,6 +287,17 @@ func TestCombineMatchesGlobalSort(t *testing.T) {
 		{"inf", [][]float64{{inf, 3, 1}, {2, 1}}},
 		{"inf-minus-inf", [][]float64{{inf, inf, 1}, {inf, 0}}},
 		{"zeros", [][]float64{{0, 0, 0}, {0}, {1, 0, 0}}},
+		// NaN gains, from a NaN point and from a −∞ point, below finite
+		// first points: the curve's base is finite, so the NaN the sort
+		// leaves last sets the curve's tail bits. Which NaN that is depends
+		// on the order of the other gains: sorting the finite hulls'
+		// repaired runs in place of their raw gains gives other bits, so the
+		// fallback must sort the hulls' own gains.
+		{"nan-patterns", [][]float64{
+			{22.5, 24.1, 14.4, 23.9, 18.2, math.NaN(), 1.6},
+			{14.7, 12.1, 11.1, 6.3, 20.6, 18, 21.9, 10.2, 21.4},
+			{4.4, 8, math.NaN(), 7.5, 20.8, 21.5, math.Inf(-1), 15.2, 21.7, 6.5},
+		}},
 	} {
 		curves := make([]Curve, len(tc.pts))
 		for i, p := range tc.pts {
